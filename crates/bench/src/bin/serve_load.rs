@@ -23,13 +23,18 @@
 //! * **shed** — pressure: a second, deliberately tiny server (short
 //!   queue, small batches) is flooded without backpressure to exercise
 //!   `queue_full`, and sub-microsecond deadlines exercise
-//!   `deadline_expired`. Every shed is still a typed reply carrying a
-//!   runnable compiler-default decision; the block counts them by reason.
+//!   `deadline_expired`. Every request carries a fresh binding: the
+//!   server answers cached decisions at admission, so only misses can
+//!   fill its queue. Every shed is still a typed reply carrying a
+//!   runnable compiler-default decision; the block counts them by reason,
+//!   and `--validate` fails unless both reasons occurred.
 //!
 //! Traffic is deterministic: xorshift64-seeded producers, Zipf(s = 1.1)
-//! region popularity over all 24 paper kernels, and a 1-in-16 binding
-//! perturbation so the cache sees a realistic miss trickle, not a pure
-//! replay.
+//! region popularity over all 24 paper kernels, and 1 request in 16
+//! setting one of its region's declared size parameters to a random
+//! value, so the cache sees a realistic miss trickle, not a pure replay.
+//! (Cache keys hold only declared parameters; perturbing any other
+//! binding would hit.)
 
 use std::time::{Duration, Instant};
 
@@ -118,17 +123,29 @@ impl Rng {
     }
 }
 
+/// One region of the traffic: its name, its benchmark binding and the
+/// size parameters it declares (the ones its decision cache keys on).
+struct Region {
+    name: String,
+    binding: Binding,
+    params: Vec<String>,
+}
+
 /// Zipf-weighted region traffic over the Polybench kernel census.
 struct Traffic {
-    regions: Vec<(String, Binding)>,
+    regions: Vec<Region>,
     cumulative: Vec<f64>,
 }
 
 impl Traffic {
     fn new(zipf_s: f64) -> Traffic {
-        let regions: Vec<(String, Binding)> = all_kernels()
+        let regions: Vec<Region> = all_kernels()
             .into_iter()
-            .map(|(_, kernel, binding)| (kernel.name.clone(), binding(Dataset::Benchmark)))
+            .map(|(_, kernel, binding)| Region {
+                name: kernel.name.clone(),
+                binding: binding(Dataset::Benchmark),
+                params: kernel.params(),
+            })
             .collect();
         let weights: Vec<f64> = (1..=regions.len())
             .map(|rank| 1.0 / (rank as f64).powf(zipf_s))
@@ -148,21 +165,38 @@ impl Traffic {
         }
     }
 
-    /// One request: Zipf-ranked region, 1-in-16 binding perturbation so
-    /// the decision cache sees a steady miss trickle.
-    fn request(&self, rng: &mut Rng) -> DecisionRequest {
+    /// A Zipf-ranked region.
+    fn region(&self, rng: &mut Rng) -> &Region {
         let u = rng.unit();
         let idx = self
             .cumulative
             .iter()
             .position(|&c| u <= c)
             .unwrap_or(self.regions.len() - 1);
-        let (region, binding) = &self.regions[idx];
-        let mut binding = binding.clone();
+        &self.regions[idx]
+    }
+
+    /// One request: a Zipf-ranked region; 1 in 16 gets a random value for
+    /// one of its declared size parameters, so the decision cache sees a
+    /// steady miss trickle.
+    fn request(&self, rng: &mut Rng) -> DecisionRequest {
+        let region = self.region(rng);
+        let mut binding = region.binding.clone();
         if rng.next().is_multiple_of(16) {
-            binding.set("variant", (rng.next() % 4096) as i64);
+            let param = &region.params[rng.next() as usize % region.params.len()];
+            binding.set(param.clone(), 16 + (rng.next() % 4096) as i64);
         }
-        DecisionRequest::new(region.clone(), binding)
+        DecisionRequest::new(region.name.clone(), binding)
+    }
+
+    /// A request no earlier one shares a cache key with, for `serial`
+    /// unique within a run: a Zipf-ranked region whose first declared
+    /// size parameter is set from `serial`.
+    fn fresh_request(&self, rng: &mut Rng, serial: u64) -> DecisionRequest {
+        let region = self.region(rng);
+        let mut binding = region.binding.clone();
+        binding.set(region.params[0].clone(), 16 + serial as i64);
+        DecisionRequest::new(region.name.clone(), binding)
     }
 }
 
@@ -407,8 +441,10 @@ fn shed_pressure(traffic: &Traffic, seed: u64, producers: usize) -> ShedBlock {
                     let mut rng = Rng::new(seed ^ ((p as u64 + 1) * 0x2545_f491_4f6c_dd1d));
                     let mut pendings = Vec::new();
                     // Burst far past the queue capacity, no backpressure.
+                    // Fresh bindings: a cached decision would be answered
+                    // at admission and never reach the queue.
                     for i in 0..512 {
-                        let mut request = traffic.request(&mut rng);
+                        let mut request = traffic.fresh_request(&mut rng, (p * 512 + i) as u64);
                         if i % 4 == 0 {
                             // Every fourth request carries an unmeetable
                             // budget for the deadline-shed path; admitted
@@ -503,8 +539,16 @@ fn validate_doc(path: &std::path::Path) {
     if p50 > p99 {
         fail(&format!("p50 ({p50}) exceeds p99 ({p99})"));
     }
-    num("shed", "queue_full");
-    num("shed", "deadline_expired");
+    // The pressure phase must really exercise both admission sheds; a
+    // traffic change that lets admission answer everything would
+    // otherwise turn the census silently to zero.
+    for reason in ["queue_full", "deadline_expired"] {
+        if num("shed", reason) <= 0.0 {
+            fail(&format!(
+                "shed.{reason} must be positive: the pressure phase shed none"
+            ));
+        }
+    }
     num("windows", "mean_batch");
     println!(
         "[serve_load] {} validates: {:.0} decisions/sec, p50 {} ns, p99 {} ns",

@@ -1626,6 +1626,16 @@ fn record_decide_event(decision: &Decision, binding_hash: u64, cache_hit: bool) 
     }
 }
 
+/// Counts and flight-records one cache hit served from `shard`. Every hit
+/// site goes through here, so a hit is observable the same way whichever
+/// path served it.
+#[inline]
+fn note_hit(shard: &CacheShard, decision: &Decision, key_hash: u64) {
+    shard.hits.fetch_add(1, Ordering::Relaxed);
+    hetsel_obs::static_counter!("hetsel.core.cache.hit").inc();
+    record_decide_event(decision, key_hash, true);
+}
+
 /// The compile-once decision engine: a [`Selector`] bound to a precompiled
 /// [`AttributeDatabase`] plus a bounded LRU cache of decisions.
 ///
@@ -1740,20 +1750,15 @@ impl DecisionEngine {
     /// and the flight-recorder `Decide` event are emitted here, so every
     /// caller is observable by construction.
     fn decide_cached(&self, key: CacheKey, eval: impl FnOnce() -> Decision) -> Decision {
-        let shard = self.cache.shard(&key);
-        if let Some(cached) = shard.lru.lock().get(&key) {
-            shard.hits.fetch_add(1, Ordering::Relaxed);
-            hetsel_obs::static_counter!("hetsel.core.cache.hit").inc();
-            record_decide_event(&cached, key.hash, true);
+        if let Some(cached) = self.probe(&key) {
             return cached;
         }
         let decision = eval();
+        let shard = self.cache.shard(&key);
         let mut lru = shard.lru.lock();
         if let Some(cached) = lru.get(&key) {
             drop(lru);
-            shard.hits.fetch_add(1, Ordering::Relaxed);
-            hetsel_obs::static_counter!("hetsel.core.cache.hit").inc();
-            record_decide_event(&cached, key.hash, true);
+            note_hit(shard, &cached, key.hash);
             return cached;
         }
         let binding_hash = key.hash;
@@ -1763,6 +1768,50 @@ impl DecisionEngine {
         hetsel_obs::static_counter!("hetsel.core.cache.miss").inc();
         record_decide_event(&decision, binding_hash, false);
         decision
+    }
+
+    /// Looks `key` up without evaluating anything. A hit is counted and
+    /// flight-recorded; a miss leaves the cache and its statistics as they
+    /// were.
+    fn probe(&self, key: &CacheKey) -> Option<Decision> {
+        let shard = self.cache.shard(key);
+        let cached = shard.lru.lock().get(key)?;
+        note_hit(shard, &cached, key.hash);
+        Some(cached)
+    }
+
+    /// Answers `request` from the cache alone: the decision
+    /// [`DecisionEngine::decide_request`] would return, when its key (the
+    /// engine's own policy or the override's partition, under the current
+    /// calibration epoch) is cached. A hit is counted and flight-recorded
+    /// exactly as a hit of `decide_request`, and allocates nothing
+    /// (`core/tests/zero_alloc.rs`). Otherwise it returns `None` having
+    /// evaluated, inserted and counted nothing: on a miss, for an unknown
+    /// region, and for a zero budget, which `decide_request` degrades
+    /// without consulting the cache.
+    pub fn cached(&self, request: &DecisionRequest) -> Option<Decision> {
+        if request.deadline().is_some_and(|d| d.is_zero()) {
+            return None;
+        }
+        let (key, _) = self.request_key(request)?;
+        self.probe(&key)
+    }
+
+    /// The cache key [`DecisionEngine::decide_request`] decides `request`
+    /// under, with the region's compiled attributes; `None` for an
+    /// unknown region.
+    fn request_key(&self, request: &DecisionRequest) -> Option<(CacheKey, &RegionAttributes)> {
+        let (id, attrs) = self.database.region_entry(request.region())?;
+        let policy = request.policy_override().map_or(OWN_POLICY, policy_code);
+        let key = CacheKey::new(
+            id,
+            DeviceId::FLEET,
+            policy,
+            self.calib_epoch(),
+            attrs,
+            request.binding(),
+        );
+        Some((key, attrs))
     }
 
     /// Takes (or recalls) the decision for `region` with the candidate set
@@ -1799,31 +1848,6 @@ impl DecisionEngine {
         Some(self.decide_cached(key, || {
             self.selector.decide_restricted(attrs, binding, scope)
         }))
-    }
-
-    /// Takes (or recalls) the decision for `region` under a per-request
-    /// policy override. Overridden decisions live in their own
-    /// policy-tagged cache partition (see [`CacheKey`]) so they are as
-    /// warm, as cheap, and as observable as plain decisions — cache
-    /// hit/miss accounting and flight-recorder events included — without
-    /// ever cross-answering a request decided under a different policy.
-    fn decide_overridden(
-        &self,
-        region: &str,
-        binding: &Binding,
-        policy: Policy,
-    ) -> Option<Decision> {
-        let _timer = hetsel_obs::static_histogram!("hetsel.core.decide.ns").start_timer();
-        let (id, attrs) = self.database.region_entry(region)?;
-        let key = CacheKey::new(
-            id,
-            DeviceId::FLEET,
-            policy_code(policy),
-            self.calib_epoch(),
-            attrs,
-            binding,
-        );
-        Some(self.decide_cached(key, || self.selector.decide_under(policy, attrs, binding)))
     }
 
     /// Takes (or recalls) the decision for one [`DecisionRequest`],
@@ -1878,13 +1902,17 @@ impl DecisionEngine {
             self.database.region(request.region())?;
             return Some((self.deadline_degraded(request.region()), true));
         }
-        let decision = match request.policy_override() {
-            None => self.decide(request.region(), request.binding())?,
-            Some(policy) => self.decide_overridden(request.region(), request.binding(), policy)?,
+        let decision = {
+            let _timer = hetsel_obs::static_histogram!("hetsel.core.decide.ns").start_timer();
+            let (key, attrs) = self.request_key(request)?;
+            let policy = request.policy_override().unwrap_or(self.selector.policy);
+            self.decide_cached(key, || {
+                self.selector.decide_under(policy, attrs, request.binding())
+            })
         };
-        // Both branches cached the computed decision above, so a blown
-        // budget does not waste the ~µs cold evaluation: the reply
-        // degrades, but a retry of the same key is a warm hit.
+        // The computed decision is cached above, so a blown budget does
+        // not waste the ~µs cold evaluation: the reply degrades, but a
+        // retry of the same key is a warm hit.
         if deadline.is_some_and(|d| start.elapsed() > d) {
             return Some((self.deadline_degraded(request.region()), true));
         }
@@ -1993,9 +2021,7 @@ impl DecisionEngine {
                 let (key, _) = keyed[i].as_ref().expect("grouped index was keyed");
                 match lru.get(key) {
                     Some(cached) => {
-                        shard.hits.fetch_add(1, Ordering::Relaxed);
-                        hetsel_obs::static_counter!("hetsel.core.cache.hit").inc();
-                        record_decide_event(&cached, key.hash, true);
+                        note_hit(shard, &cached, key.hash);
                         results[i] = Some(cached);
                     }
                     None => match pending.get(key) {
@@ -2042,20 +2068,16 @@ impl DecisionEngine {
         for plan in &plans {
             let shard = &self.cache.shards[plan.shard];
             for &(i, first) in &plan.duplicates {
-                shard.hits.fetch_add(1, Ordering::Relaxed);
-                hetsel_obs::static_counter!("hetsel.core.cache.hit").inc();
-                results[i] = results[first].clone();
-                if let (Some(d), Some((key, _))) = (results[i].as_ref(), keyed[i].as_ref()) {
-                    record_decide_event(d, key.hash, true);
-                }
+                let decision = results[first].clone().expect("miss was evaluated");
+                let (key, _) = keyed[i].as_ref().expect("grouped index was keyed");
+                note_hit(shard, &decision, key.hash);
+                results[i] = Some(decision);
             }
             let mut lru = shard.lru.lock();
             for &i in &plan.missed {
                 let (key, _) = keyed[i].as_ref().expect("grouped index was keyed");
                 if let Some(cached) = lru.get(key) {
-                    shard.hits.fetch_add(1, Ordering::Relaxed);
-                    hetsel_obs::static_counter!("hetsel.core.cache.hit").inc();
-                    record_decide_event(&cached, key.hash, true);
+                    note_hit(shard, &cached, key.hash);
                     results[i] = Some(cached);
                     continue;
                 }

@@ -1,4 +1,5 @@
-//! Proof that a cache-hit `decide` performs **zero heap allocations**.
+//! Proof that a cache-hit `decide` — and the cache-only probe
+//! `DecisionEngine::cached` — performs **zero heap allocations**.
 //!
 //! A counting global allocator tallies every `alloc`/`realloc`/
 //! `alloc_zeroed` on a per-thread counter; the test primes the engine (the
@@ -125,6 +126,9 @@ fn cache_hit_decide_with_flight_recorder_enabled_allocates_nothing() {
         engine.decide("gemm", &b).expect("primed hit");
     }
 
+    let request = DecisionRequest::new("gemm", b.clone());
+    engine.cached(&request).expect("primed probe hit");
+
     let recorded_before = recorder.total_recorded();
     let before = allocs_on_this_thread();
     let mut last = None;
@@ -132,6 +136,12 @@ fn cache_hit_decide_with_flight_recorder_enabled_allocates_nothing() {
         last = engine.decide("gemm", &b);
     }
     let after = allocs_on_this_thread();
+    // The same again through the cache-only probe.
+    let mut probed = None;
+    for _ in 0..1000 {
+        probed = engine.cached(&request);
+    }
+    let after_probes = allocs_on_this_thread();
     hetsel_obs::set_flight_recording(false);
 
     assert_eq!(
@@ -140,11 +150,57 @@ fn cache_hit_decide_with_flight_recorder_enabled_allocates_nothing() {
         "recorded cache-hit decide must not allocate (1000 hits allocated {} times)",
         after - before
     );
-    assert_eq!(last.expect("hit"), first);
-    assert!(
-        recorder.total_recorded() >= recorded_before + 1000,
-        "the burst really was recorded, not silently dropped"
+    assert_eq!(
+        after_probes - after,
+        0,
+        "recorded cached hit must not allocate (1000 hits allocated {} times)",
+        after_probes - after
     );
+    assert_eq!(last.expect("hit"), first);
+    assert_eq!(probed.expect("hit"), first);
+    assert!(
+        recorder.total_recorded() >= recorded_before + 2000,
+        "both bursts really were recorded, not silently dropped"
+    );
+}
+
+#[test]
+fn cached_probe_hit_allocates_nothing() {
+    // The decision service answers cached decisions at admission through
+    // `DecisionEngine::cached`; its hit must be as allocation-free as a
+    // decide hit. The second request carries a policy override and a live
+    // deadline, so key resolution covers both. (The recorder-enabled
+    // variant runs in the recorder test above: only one test here may
+    // toggle the process-wide recording flag.)
+    let (kernel, binding) = find_kernel("gemm").unwrap();
+    let engine = DecisionEngine::new(
+        Selector::new(Platform::power9_v100()),
+        std::slice::from_ref(&kernel),
+    );
+    let plain = DecisionRequest::new("gemm", binding(Dataset::Benchmark));
+    let overridden = plain
+        .clone()
+        .with_policy(hetsel_core::Policy::AlwaysHost)
+        .with_deadline(Duration::from_secs(3600));
+    for request in [&plain, &overridden] {
+        let first = engine.decide_request(request).expect("gemm is known");
+        for _ in 0..3 {
+            engine.cached(request).expect("primed hit");
+        }
+        let before = allocs_on_this_thread();
+        let mut last = None;
+        for _ in 0..1000 {
+            last = engine.cached(request);
+        }
+        let after = allocs_on_this_thread();
+        assert_eq!(
+            after - before,
+            0,
+            "cached hit must not allocate (1000 hits allocated {} times)",
+            after - before
+        );
+        assert_eq!(last.expect("hit"), first);
+    }
 }
 
 #[test]

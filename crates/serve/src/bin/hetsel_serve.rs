@@ -16,8 +16,10 @@
 //! written back on first run, reused for near-zero-cost reload after).
 //!
 //! Replies go out as soon as they are decided: there is no batching
-//! window. A client that writes several lines before reading gets them
-//! evaluated together, up to 16 in flight per connection.
+//! window, and a decide-only request whose decision is cached is answered
+//! at admission without waking the batcher. A client that writes several
+//! lines before reading gets them evaluated together, up to 16 in flight
+//! per connection.
 
 use std::io::{self, BufReader, Write};
 use std::net::TcpListener;

@@ -7,23 +7,28 @@
 //! properties a shared decision service needs that a library call does
 //! not:
 //!
-//! 1. **Admission control.** A bounded queue stands between transports
-//!    and the engine. Under overload, [`ServerHandle::submit`] sheds with
-//!    a typed [`ShedReason`] instead of queueing unboundedly, and
-//!    [`ServerHandle::submit_wait`] backpressures instead of shedding —
-//!    the caller picks the failure mode. Every shed reply still carries
+//! 1. **Admission control.** A decide-only request whose decision is
+//!    already cached is answered at admission, on the submitting thread
+//!    ([`DecisionEngine::cached`](hetsel_core::DecisionEngine::cached)):
+//!    a cache hit costs far less than a hand-off to another thread, so it
+//!    takes no queue slot. Everything else meets a bounded queue between
+//!    transports and the engine. Under overload, [`ServerHandle::submit`]
+//!    sheds with a typed [`ShedReason`] instead of queueing unboundedly,
+//!    and [`ServerHandle::submit_wait`] backpressures instead of shedding
+//!    — the caller picks the failure mode. Every shed reply still carries
 //!    the degraded compiler-default decision, so a refused caller always
 //!    has something runnable: the serve-layer analogue of the
 //!    dispatcher's "the host is never fully load-shed" rule.
 //! 2. **Request coalescing without a wait.** The batcher takes whatever
-//!    is queued the moment it wakes and evaluates it with one
+//!    is queued — cache misses and dispatches — the moment it wakes and
+//!    evaluates it with one
 //!    [`decide_batch`](hetsel_core::DecisionEngine::decide_batch) call,
 //!    amortising cache-shard locking and the rayon cold-miss pass. A lone
 //!    request is answered at once; batches form from requests that queued
 //!    while the previous batch was evaluated, and from transport bursts —
 //!    every complete line a connection has buffered (up to
 //!    [`MAX_IN_FLIGHT`]) is admitted together and answered with one
-//!    write.
+//!    write, rendered by [`ServeReply::write_json`].
 //! 3. **Real deadline timers.** A dedicated timer thread answers a
 //!    deadline-carrying request the moment its budget expires — not
 //!    after evaluation happens to finish, which is all a synchronous
@@ -32,8 +37,9 @@
 //!
 //! The crate is instrumented through `hetsel-obs` end to end: a
 //! queue-depth gauge (`hetsel.serve.queue.depth`), admission and shed
-//! counters (`hetsel.serve.admitted`, `hetsel.serve.shed.<reason>`,
-//! `hetsel.serve.accept_error`), a per-batch size histogram
+//! counters (`hetsel.serve.admitted`, `hetsel.serve.admission_hit`,
+//! `hetsel.serve.shed.<reason>`, `hetsel.serve.accept_error`), a
+//! per-batch size histogram
 //! (`hetsel.serve.window.batch`, named for the coalescing windows it
 //! used to measure), and a
 //! flight-recorder [`EventKind::Shed`](hetsel_obs::EventKind::Shed)
@@ -42,8 +48,8 @@
 //! ```text
 //!  transports (stdin / tcp)          server threads
 //!  ───────────────────────          ────────────────────────────
-//!  burst → submit_all ──┐
-//!  burst → submit_all ──┤ admission  ┌─ batcher: drain → decide_batch
+//!  burst → submit_all ──┐ admission: cached, decide-only → ok reply
+//!  burst → submit_all ──┤            ┌─ batcher: drain → decide_batch
 //!  burst → submit_all ──┴─► queue ───┤        → (dispatch) → reply
 //!                                    └─ timer: deadline → shed reply
 //! ```

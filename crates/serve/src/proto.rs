@@ -23,6 +23,8 @@
 //! control may refuse to spend model-evaluation budget on a request, but
 //! it never refuses to answer it.
 
+use std::io::Write;
+
 use hetsel_core::{Decision, DecisionRequest, DispatchOutcome};
 use serde::{Deserialize, Serialize, Value};
 
@@ -400,6 +402,141 @@ impl ServeReply {
             message: message.into(),
         }
     }
+}
+
+impl ServeReply {
+    /// Appends the reply's JSON text, without a newline, to `out`. The
+    /// bytes are exactly those of `serde_json::to_string(self)`, written
+    /// straight from the fields instead of through a [`Value`] tree; the
+    /// property test `tests/reply_json.rs` holds the two to that.
+    pub fn write_json(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"{\"id\":");
+        match self.id() {
+            Some(id) => write_uint(out, id),
+            None => out.extend_from_slice(b"null"),
+        }
+        out.extend_from_slice(b",\"status\":");
+        write_str(out, self.status());
+        match self {
+            ServeReply::Ok {
+                decision,
+                degraded,
+                dispatched,
+                ..
+            } => {
+                out.extend_from_slice(b",\"decision\":");
+                decision.write_json(out);
+                out.extend_from_slice(b",\"degraded\":");
+                write_bool(out, *degraded);
+                out.extend_from_slice(b",\"dispatched\":");
+                match dispatched {
+                    Some(d) => d.write_json(out),
+                    None => out.extend_from_slice(b"null"),
+                }
+            }
+            ServeReply::Shed {
+                reason, decision, ..
+            } => {
+                out.extend_from_slice(b",\"reason\":");
+                write_str(out, reason.metric_key());
+                out.extend_from_slice(b",\"decision\":");
+                decision.write_json(out);
+            }
+            ServeReply::Error { message, .. } => {
+                out.extend_from_slice(b",\"message\":");
+                write_str(out, message);
+            }
+        }
+        out.push(b'}');
+    }
+}
+
+impl ReplyDecision {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"{\"region\":");
+        write_str(out, &self.region);
+        out.extend_from_slice(b",\"device\":");
+        write_str(out, &self.device);
+        out.extend_from_slice(b",\"device_name\":");
+        write_str(out, &self.device_name);
+        out.extend_from_slice(b",\"policy\":");
+        write_str(out, &self.policy);
+        out.extend_from_slice(b",\"predicted_cpu_s\":");
+        write_opt_f64(out, self.predicted_cpu_s);
+        out.extend_from_slice(b",\"predicted_gpu_s\":");
+        write_opt_f64(out, self.predicted_gpu_s);
+        out.extend_from_slice(b",\"calibrated\":");
+        write_bool(out, self.calibrated);
+        out.push(b'}');
+    }
+}
+
+impl ReplyDispatch {
+    fn write_json(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"{\"device_name\":");
+        write_str(out, &self.device_name);
+        out.extend_from_slice(b",\"attempts\":");
+        write_uint(out, u64::from(self.attempts));
+        out.extend_from_slice(b",\"fallback\":");
+        match &self.fallback {
+            Some(f) => write_str(out, f),
+            None => out.extend_from_slice(b"null"),
+        }
+        out.extend_from_slice(b",\"simulated_s\":");
+        write_opt_f64(out, Some(self.simulated_s));
+        out.push(b'}');
+    }
+}
+
+fn write_bool(out: &mut Vec<u8>, b: bool) {
+    out.extend_from_slice(if b { b"true" } else { b"false" });
+}
+
+fn write_uint(out: &mut Vec<u8>, v: u64) {
+    write!(out, "{v}").expect("writing to a Vec cannot fail");
+}
+
+/// A float as `serde_json` writes it: `Debug`, the shortest form that
+/// parses back to the same bits; `null` for none and for NaN and ±∞,
+/// which JSON cannot spell.
+fn write_opt_f64(out: &mut Vec<u8>, x: Option<f64>) {
+    match x {
+        Some(x) if x.is_finite() => write!(out, "{x:?}").expect("writing to a Vec cannot fail"),
+        _ => out.extend_from_slice(b"null"),
+    }
+}
+
+/// A JSON string literal with `serde_json`'s escapes: `\"`, `\\`, `\n`,
+/// `\r` and `\t` by name, every other control byte as `\u00XX`, and
+/// everything else — multi-byte UTF-8 included — verbatim.
+fn write_str(out: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push(b'"');
+    let bytes = s.as_bytes();
+    let mut copied = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let named: &[u8] = match b {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            0..=0x1f => &[
+                b'\\',
+                b'u',
+                b'0',
+                b'0',
+                HEX[usize::from(b >> 4)],
+                HEX[usize::from(b & 0xf)],
+            ],
+            _ => continue,
+        };
+        out.extend_from_slice(&bytes[copied..i]);
+        out.extend_from_slice(named);
+        copied = i + 1;
+    }
+    out.extend_from_slice(&bytes[copied..]);
+    out.push(b'"');
 }
 
 impl Serialize for ServeReply {

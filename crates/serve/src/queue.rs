@@ -1,6 +1,8 @@
 //! The admission queue: a bounded MPSC queue with a draining consumer.
 //!
-//! Producers are transport threads admitting requests; the single
+//! Producers are transport threads admitting the requests that need the
+//! engine's work — cache misses and dispatches; the server answers cached
+//! decide-only requests before they reach the queue. The single
 //! consumer is the batcher, which takes *everything queued* the moment
 //! it wakes — no timed wait — so one `decide_batch` call amortises the
 //! shard locking and the rayon cold-miss pass over every request that

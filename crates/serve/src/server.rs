@@ -1,6 +1,19 @@
 //! The decision server: admission control → batch drain → batch decide
 //! → (optional) dispatch → reply.
 //!
+//! Admission answers what it can before a request takes a queue slot,
+//! in this order: an unknown region is a typed error, a deadline that has
+//! already expired is shed with [`ShedReason::DeadlineExpired`], a
+//! stopped server sheds with [`ShedReason::ShuttingDown`], and a
+//! decide-only request whose decision is cached is answered `ok` on the
+//! submitting thread through
+//! [`DecisionEngine::cached`](hetsel_core::DecisionEngine::cached) —
+//! no queue slot, no timer entry, no batcher wake-up, and for a burst
+//! with nothing left to queue, no queue lock. A hit is a fraction of a
+//! microsecond of engine work; handing it to the batcher and back costs
+//! two sleeping-thread wake-ups, far more. Cache misses and `dispatch`
+//! requests go on to the queue.
+//!
 //! One batcher thread owns the engine-facing side. Each time it wakes it
 //! takes everything queued in the [`AdmissionQueue`] — without waiting
 //! for more — and evaluates it with a single
@@ -27,14 +40,13 @@
 //! * [`ServerHandle::submit_wait`] **backpressures**: the caller blocks
 //!   until the queue has room (or the server shuts down).
 //!
-//! A request whose deadline has already expired when it arrives is shed
-//! with [`ShedReason::DeadlineExpired`] before it takes a queue slot.
 //! Either way every admitted or refused request gets exactly one reply —
 //! the serve-layer analogue of the dispatcher's "the host is never fully
 //! load-shed" rule: admission may refuse to spend evaluation budget, but
 //! it always answers, and a shed reply's degraded decision is always
 //! runnable.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -87,6 +99,10 @@ struct Inner {
     dispatcher: Dispatcher,
     queue: AdmissionQueue<Arc<PendingRequest>>,
     timer: OnceLock<DeadlineTimer>,
+    /// Set once shutdown begins. Admission reads it instead of the queue's
+    /// own closed flag, so a request answered before the queue never takes
+    /// the queue lock.
+    closed: AtomicBool,
 }
 
 impl Inner {
@@ -127,16 +143,22 @@ impl Inner {
         pending.done.complete(reply);
     }
 
-    /// Answers a request that must not take a queue slot: an unknown
-    /// region gets the transport's typed "bad request" error (retrying it
-    /// can never succeed, so it is not a shed), and a deadline that has
-    /// already expired is shed at once. Returns true when it answered.
-    fn refuse_before_queue(&self, pending: &PendingRequest) -> bool {
-        let region = pending.serve.request.region();
-        if self.dispatcher.engine().database().region(region).is_none() {
+    /// Answers a request before it takes a queue slot, when admission can.
+    /// In order: an unknown region gets the transport's typed "bad
+    /// request" error (retrying it can never succeed, so it is not a
+    /// shed); a deadline that has already expired is shed; a stopped
+    /// server sheds with [`ShedReason::ShuttingDown`]; a decide-only
+    /// request whose decision is cached is answered `ok` in place, with no
+    /// queue slot, timer entry or batcher wake-up. Returns true when it
+    /// answered; dispatches and cache misses go on to the queue.
+    fn answer_before_queue(&self, pending: &PendingRequest) -> bool {
+        let serve = &pending.serve;
+        let engine = self.dispatcher.engine();
+        let region = serve.request.region();
+        if engine.database().region(region).is_none() {
             hetsel_obs::static_counter!("hetsel.serve.bad_request").inc();
             pending.done.complete(ServeReply::error(
-                pending.serve.id,
+                serve.id,
                 format!("unknown region {region:?}"),
             ));
             return true;
@@ -145,7 +167,25 @@ impl Inner {
             self.shed(pending, ShedReason::DeadlineExpired);
             return true;
         }
-        false
+        // Relaxed: the flag guards no other data. A caller that saw
+        // `shutdown` return is ordered after the store by that return.
+        if self.closed.load(Ordering::Relaxed) {
+            self.shed(pending, ShedReason::ShuttingDown);
+            return true;
+        }
+        if serve.dispatch {
+            return false;
+        }
+        match engine.cached(&serve.request) {
+            Some(decision) => {
+                hetsel_obs::static_counter!("hetsel.serve.admission_hit").inc();
+                pending
+                    .done
+                    .complete(ServeReply::ok(serve.id, &decision, false, None));
+                true
+            }
+            None => false,
+        }
     }
 
     /// Acts on a queue verdict: arms the deadline timer for an admitted
@@ -171,10 +211,11 @@ pub struct ServerHandle {
 }
 
 impl ServerHandle {
-    /// Admits `serve` (or refuses it), returning the pending request to
-    /// wait on. Admission arms the deadline timer for deadline-carrying
-    /// requests. The reply slot is *already completed* when admission
-    /// refused the request — a full queue sheds with
+    /// Admits `serve` (or answers or refuses it), returning the pending
+    /// request to wait on. Admission arms the deadline timer for queued
+    /// deadline-carrying requests. The reply slot is *already completed*
+    /// when admission answered the request itself — a cached decide-only
+    /// request gets its `ok` reply, a full queue sheds with
     /// [`ShedReason::QueueFull`], an already-expired deadline with
     /// [`ShedReason::DeadlineExpired`], a stopped server with
     /// [`ShedReason::ShuttingDown`], an unknown region errors — so
@@ -191,7 +232,7 @@ impl ServerHandle {
     pub fn submit_wait(&self, serve: ServeRequest) -> Arc<PendingRequest> {
         let inner = &self.inner;
         let pending = Arc::new(PendingRequest::new(serve));
-        if !inner.refuse_before_queue(&pending) {
+        if !inner.answer_before_queue(&pending) {
             let admission = inner.queue.push_wait(Arc::clone(&pending));
             inner.settle(&pending, admission);
             inner.publish_depth();
@@ -199,10 +240,12 @@ impl ServerHandle {
         pending
     }
 
-    /// As [`ServerHandle::submit`] for a whole burst, admitted under one
-    /// queue lock so the batcher evaluates the burst together. Returns
-    /// one pending request per input, in input order; requests past the
-    /// queue's free space shed with [`ShedReason::QueueFull`].
+    /// As [`ServerHandle::submit`] for a whole burst. What admission does
+    /// not answer itself is queued under one queue lock, so the batcher
+    /// evaluates it together; a burst admission answers whole takes no
+    /// queue lock. Returns one pending request per input, in input order;
+    /// requests past the queue's free space shed with
+    /// [`ShedReason::QueueFull`].
     pub fn submit_all(
         &self,
         burst: impl IntoIterator<Item = ServeRequest>,
@@ -214,8 +257,11 @@ impl ServerHandle {
             .collect();
         let queued: Vec<&Arc<PendingRequest>> = pending
             .iter()
-            .filter(|p| !inner.refuse_before_queue(p))
+            .filter(|p| !inner.answer_before_queue(p))
             .collect();
+        if queued.is_empty() {
+            return pending;
+        }
         let (admitted, refusal) = inner.queue.try_push_all(queued.iter().copied().cloned());
         for (i, p) in queued.into_iter().enumerate() {
             let admission = if i < admitted {
@@ -261,6 +307,7 @@ impl DecisionServer {
             dispatcher,
             queue: AdmissionQueue::new(config.queue_capacity),
             timer: OnceLock::new(),
+            closed: AtomicBool::new(false),
         });
         let timer_inner: Weak<Inner> = Arc::downgrade(&inner);
         let timer = DeadlineTimer::start(move |pending| {
@@ -302,6 +349,7 @@ impl DecisionServer {
     }
 
     fn teardown(&mut self) {
+        self.inner.closed.store(true, Ordering::Relaxed);
         let orphans = self.inner.queue.close();
         for pending in &orphans {
             self.inner.shed(pending, ShedReason::ShuttingDown);
@@ -526,14 +574,58 @@ mod tests {
     fn shutdown_sheds_queued_requests_with_typed_reason() {
         let server = server(ServeConfig::default());
         let handle = server.handle();
+        // Cached before the stop: a stopped server must not answer it from
+        // the cache at admission either.
+        assert_eq!(handle.call(gemm(256)).status(), "ok");
         server.shutdown();
-        let reply = handle.call(gemm(128));
-        match reply {
-            ServeReply::Shed { reason, .. } => {
-                assert_eq!(reason, ShedReason::ShuttingDown)
+        for request in [gemm(128), gemm(256)] {
+            match handle.call(request) {
+                ServeReply::Shed { reason, .. } => {
+                    assert_eq!(reason, ShedReason::ShuttingDown)
+                }
+                other => panic!("unexpected reply {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_cached_deadline_request_is_answered_at_admission() {
+        let server = server(ServeConfig::default());
+        let handle = server.handle();
+        let ServeReply::Ok { decision, .. } = handle.call(gemm(96)) else {
+            panic!("the cold call must be decided");
+        };
+        let mut serve = gemm(96).with_id(5);
+        serve.request = serve.request.with_deadline(Duration::from_secs(3600));
+        let pending = handle.submit(serve);
+        // Answered before submit returned: no queue slot, no timer entry.
+        assert!(pending.done.is_done());
+        assert_eq!(server.inner.timer.get().expect("timer runs").armed(), 0);
+        assert_eq!(
+            pending.done.wait(),
+            ServeReply::Ok {
+                id: Some(5),
+                decision,
+                degraded: false,
+                dispatched: None,
+            }
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_cached_dispatch_request_still_executes() {
+        let server = server(ServeConfig::default());
+        let handle = server.handle();
+        assert_eq!(handle.call(gemm(640)).status(), "ok");
+        match handle.call(gemm(640).with_dispatch()) {
+            ServeReply::Ok { dispatched, .. } => {
+                let d = dispatched.expect("dispatch evidence for a cached decision");
+                assert!(d.attempts >= 1);
             }
             other => panic!("unexpected reply {other:?}"),
         }
+        server.shutdown();
     }
 
     #[test]

@@ -53,6 +53,12 @@ struct TimerState {
     heap: BinaryHeap<Reverse<Entry>>,
     next_tick: u64,
     closed: bool,
+    /// What the thread sleeps for: `Some(None)` until something is armed,
+    /// `Some(Some(t))` until `t`, `None` while it is awake. Set under the
+    /// lock the wait releases, so tests can arm an expiry against a thread
+    /// known to be asleep.
+    #[cfg(test)]
+    asleep: Option<Option<Instant>>,
 }
 
 struct TimerShared {
@@ -84,6 +90,8 @@ impl DeadlineTimer {
                 heap: BinaryHeap::new(),
                 next_tick: 0,
                 closed: false,
+                #[cfg(test)]
+                asleep: None,
             }),
             wake: Condvar::new(),
         });
@@ -107,6 +115,9 @@ impl DeadlineTimer {
         if state.closed {
             return;
         }
+        // The thread sleeps until the earliest expiry, so it needs waking
+        // only when this entry becomes the earliest one.
+        let earliest = state.heap.peek().map(|Reverse(e)| e.expires);
         let tick = state.next_tick;
         state.next_tick += 1;
         state.heap.push(Reverse(Entry {
@@ -115,8 +126,9 @@ impl DeadlineTimer {
             request: Arc::clone(request),
         }));
         drop(state);
-        // The new entry may be the new earliest expiry.
-        self.shared.wake.notify_one();
+        if earliest.is_none_or(|at| expires < at) {
+            self.shared.wake.notify_one();
+        }
     }
 
     /// Number of armed (not yet fired) deadlines.
@@ -173,12 +185,16 @@ fn run(shared: &TimerShared, on_expire: &(impl Fn(&Arc<PendingRequest>) + Send +
             continue;
         }
         // Sleep until the earliest expiry, or until armed/closed.
-        state = match state.heap.peek() {
-            Some(Reverse(e)) => {
-                let timeout = e.expires.saturating_duration_since(now);
+        let earliest = state.heap.peek().map(|Reverse(e)| e.expires);
+        #[cfg(test)]
+        {
+            state.asleep = Some(earliest);
+        }
+        state = match earliest {
+            Some(at) => {
                 shared
                     .wake
-                    .wait_timeout(state, timeout)
+                    .wait_timeout(state, at.saturating_duration_since(now))
                     .unwrap_or_else(PoisonError::into_inner)
                     .0
             }
@@ -187,6 +203,10 @@ fn run(shared: &TimerShared, on_expire: &(impl Fn(&Arc<PendingRequest>) + Send +
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner),
         };
+        #[cfg(test)]
+        {
+            state.asleep = None;
+        }
     }
 }
 
@@ -205,6 +225,31 @@ mod tests {
         )))
     }
 
+    /// Waits until the timer thread sleeps for `until` (see
+    /// `TimerState::asleep`).
+    fn await_asleep(timer: &DeadlineTimer, until: Option<Instant>) {
+        let start = Instant::now();
+        while timer.shared.lock().asleep != Some(until) {
+            assert!(
+                start.elapsed() < Duration::from_secs(1),
+                "the timer thread never slept for {until:?}"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    /// Polls `request` for an answer for at most `limit`.
+    fn answered_within(request: &PendingRequest, limit: Duration) -> bool {
+        let start = Instant::now();
+        while !request.done.is_done() {
+            if start.elapsed() > limit {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        true
+    }
+
     #[test]
     fn expired_requests_fire_in_deadline_order() {
         let fired = Arc::new(Mutex::new(Vec::new()));
@@ -216,22 +261,32 @@ mod tests {
                 .push(req.serve.request.deadline().unwrap());
             req.done.complete(ServeReply::error(None, "expired (test)"));
         });
-        let late = pending(Duration::from_millis(40));
-        let soon = pending(Duration::from_millis(5));
-        timer.schedule(&late);
-        timer.schedule(&soon);
-        let start = Instant::now();
-        let soon_reply = soon.done.wait();
+        // With nothing armed the thread sleeps until woken, so arming
+        // must wake it.
+        await_asleep(&timer, None);
+        let first = pending(Duration::from_millis(1));
+        timer.schedule(&first);
         assert!(
-            start.elapsed() < Duration::from_millis(35),
+            answered_within(&first, Duration::from_secs(1)),
+            "arming an idle timer did not wake it"
+        );
+        // Asleep until `late`, the thread must be woken for an earlier
+        // expiry.
+        let late = pending(Duration::from_secs(10));
+        timer.schedule(&late);
+        await_asleep(&timer, late.expires);
+        let soon = pending(Duration::from_millis(5));
+        timer.schedule(&soon);
+        assert!(
+            answered_within(&soon, Duration::from_secs(1)),
             "short deadline waited for the long one"
         );
-        assert_eq!(soon_reply.status(), "error");
-        late.done.wait();
+        assert_eq!(soon.done.wait().status(), "error");
+        assert!(!late.done.is_done());
         let order = fired.lock().unwrap().clone();
         assert_eq!(
             order,
-            vec![Duration::from_millis(5), Duration::from_millis(40)]
+            vec![Duration::from_millis(1), Duration::from_millis(5)]
         );
     }
 

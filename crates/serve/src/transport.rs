@@ -12,9 +12,11 @@
 //!
 //! Framing works in *bursts*, on bytes. One burst reads the input once
 //! (`fill_buf`), submits every complete line already buffered — at most
-//! [`MAX_IN_FLIGHT`] of them — with one [`ServerHandle::submit_all`],
-//! waits for their replies in submission order, and sends them with one
-//! `write_all` + `flush`. A client with one request in flight gets one
+//! [`MAX_IN_FLIGHT`] of them — with one [`ServerHandle::submit_all`]
+//! (which answers cached decide-only requests on the spot), waits for
+//! their replies in submission order, renders them with
+//! [`ServeReply::write_json`] into one reused buffer, and sends them with
+//! one `write_all` + `flush`. A client with one request in flight gets one
 //! reply per request, as with a line-at-a-time loop; a client that
 //! pipelines gets its buffered lines evaluated as one batch. The
 //! transport never blocks on a read while it holds unwritten replies,
@@ -221,8 +223,7 @@ impl<'h> Burst<'h> {
             if reply.status() == "error" {
                 self.stats.errors += 1;
             }
-            let rendered = serde_json::to_string(&reply).expect("replies always serialize");
-            self.out.extend_from_slice(rendered.as_bytes());
+            reply.write_json(&mut self.out);
             self.out.push(b'\n');
         }
         writer.write_all(&self.out)?;

@@ -1,5 +1,6 @@
 //! Burst framing end to end: a client that pipelines gets every reply, in
-//! order, and its lines are evaluated in batches rather than one by one.
+//! order; its cache misses are evaluated in batches rather than one by
+//! one, and its cached lines are answered at admission without a batch.
 //!
 //! This is its own test binary on purpose: it reads the process-wide
 //! `hetsel.serve.window.batch` histogram, which no other test here feeds.
@@ -32,6 +33,30 @@ impl Write for CountingWriter {
     }
 }
 
+/// Serves `input` as one pipelined session; returns the replies' ids (all
+/// of them `ok`), the flush count, and how many batches the batcher ran.
+fn serve_burst(server: &DecisionServer, input: &str) -> (Vec<Option<u64>>, usize, u64) {
+    let batches = hetsel_obs::registry().histogram("hetsel.serve.window.batch");
+    let before = batches.count();
+    let mut out = CountingWriter {
+        bytes: Vec::new(),
+        flushes: 0,
+    };
+    let stats = serve_lines(&server.handle(), Cursor::new(input), &mut out).unwrap();
+    let batched = batches.count() - before;
+    assert_eq!((stats.lines, stats.replies, stats.errors), (64, 64, 0));
+    let ids = std::str::from_utf8(&out.bytes)
+        .unwrap()
+        .lines()
+        .map(|l| {
+            let reply: ServeReply = serde_json::from_str(l).unwrap();
+            assert_eq!(reply.status(), "ok");
+            reply.id()
+        })
+        .collect();
+    (ids, out.flushes, batched)
+}
+
 #[test]
 fn sixty_four_pipelined_lines_get_in_order_replies_in_few_batches() {
     let (kernel, binding) = find_kernel("gemm").unwrap();
@@ -43,6 +68,7 @@ fn sixty_four_pipelined_lines_get_in_order_replies_in_few_batches() {
         Dispatcher::new(engine, DispatcherConfig::default()),
         ServeConfig::default(),
     );
+    // Distinct `n` per line: every line is a cache miss the first time.
     let input: String = (0..64u64)
         .map(|id| {
             let request = DecisionRequest::new(
@@ -53,31 +79,23 @@ fn sixty_four_pipelined_lines_get_in_order_replies_in_few_batches() {
             format!("{line}\n")
         })
         .collect();
-
-    let batches = hetsel_obs::registry().histogram("hetsel.serve.window.batch");
-    let before = batches.count();
-    let mut out = CountingWriter {
-        bytes: Vec::new(),
-        flushes: 0,
-    };
-    let stats = serve_lines(&server.handle(), Cursor::new(input), &mut out).unwrap();
-    let batched = batches.count() - before;
-    server.shutdown();
-
-    assert_eq!((stats.lines, stats.replies, stats.errors), (64, 64, 0));
-    let ids: Vec<Option<u64>> = std::str::from_utf8(&out.bytes)
-        .unwrap()
-        .lines()
-        .map(|l| {
-            let reply: ServeReply = serde_json::from_str(l).unwrap();
-            assert_eq!(reply.status(), "ok");
-            reply.id()
-        })
-        .collect();
-    assert_eq!(ids, (0..64).map(Some).collect::<Vec<_>>());
+    let in_order: Vec<Option<u64>> = (0..64).map(Some).collect();
     // One burst per MAX_IN_FLIGHT lines, each admitted under one queue
     // lock and so drained as one batch.
     let bursts = 64 / MAX_IN_FLIGHT;
-    assert_eq!(out.flushes, bursts);
-    assert_eq!(batched, bursts as u64, "{batched} batches for 64 lines");
+
+    let (ids, flushes, batched) = serve_burst(&server, &input);
+    assert_eq!(ids, in_order);
+    assert_eq!(flushes, bursts);
+    assert_eq!(batched, bursts as u64, "{batched} batches for 64 misses");
+
+    // The same lines again are all cached: admission answers every one in
+    // place, so the bursts still leave as four writes but the batcher
+    // never runs. (Same test function on purpose: the batch histogram is
+    // process-wide.)
+    let (ids, flushes, batched) = serve_burst(&server, &input);
+    server.shutdown();
+    assert_eq!(ids, in_order);
+    assert_eq!(flushes, bursts);
+    assert_eq!(batched, 0, "{batched} batches for 64 cached lines");
 }

@@ -53,10 +53,10 @@ struct TimerState {
     heap: BinaryHeap<Reverse<Entry>>,
     next_tick: u64,
     closed: bool,
-    /// What the thread sleeps for: `Some(None)` until something is armed,
-    /// `Some(Some(t))` until `t`, `None` while it is awake. Set under the
-    /// lock the wait releases, so tests can arm an expiry against a thread
-    /// known to be asleep.
+    /// What the thread last went to sleep for: `Some(None)` until
+    /// something is armed, `Some(Some(t))` until `t`; `None` before its
+    /// first sleep. Set under the lock the wait releases, so tests can arm
+    /// an expiry against a thread known to be asleep.
     #[cfg(test)]
     asleep: Option<Option<Instant>>,
 }
@@ -203,10 +203,6 @@ fn run(shared: &TimerShared, on_expire: &(impl Fn(&Arc<PendingRequest>) + Send +
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner),
         };
-        #[cfg(test)]
-        {
-            state.asleep = None;
-        }
     }
 }
 
@@ -271,22 +267,29 @@ mod tests {
             "arming an idle timer did not wake it"
         );
         // Asleep until `late`, the thread must be woken for an earlier
-        // expiry.
-        let late = pending(Duration::from_secs(10));
+        // expiry, and must still fire `late` afterwards.
+        let late = pending(Duration::from_secs(1));
         timer.schedule(&late);
         await_asleep(&timer, late.expires);
         let soon = pending(Duration::from_millis(5));
         timer.schedule(&soon);
         assert!(
-            answered_within(&soon, Duration::from_secs(1)),
+            answered_within(&soon, Duration::from_millis(500)),
             "short deadline waited for the long one"
         );
         assert_eq!(soon.done.wait().status(), "error");
-        assert!(!late.done.is_done());
+        assert!(
+            answered_within(&late, Duration::from_secs(5)),
+            "the later deadline never fired"
+        );
         let order = fired.lock().unwrap().clone();
         assert_eq!(
             order,
-            vec![Duration::from_millis(1), Duration::from_millis(5)]
+            vec![
+                Duration::from_millis(1),
+                Duration::from_millis(5),
+                Duration::from_secs(1)
+            ]
         );
     }
 

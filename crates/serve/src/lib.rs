@@ -27,8 +27,11 @@
 //!    request is answered at once; batches form from requests that queued
 //!    while the previous batch was evaluated, and from transport bursts —
 //!    every complete line a connection has buffered (up to
-//!    [`MAX_IN_FLIGHT`]) is admitted together and answered with one
-//!    write, rendered by [`ServeReply::write_json`].
+//!    [`MAX_IN_FLIGHT`]) is decoded in one pass by
+//!    [`parse_request_line`], admitted together and answered with one
+//!    write, rendered by [`ServeReply::write_json`]. No thread is woken
+//!    unless it is asleep: a condvar notify is a syscall even with no
+//!    waiter, so the queue and the reply slots track their sleepers.
 //! 3. **Real deadline timers.** A dedicated timer thread answers a
 //!    deadline-carrying request the moment its budget expires — not
 //!    after evaluation happens to finish, which is all a synchronous

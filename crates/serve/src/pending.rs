@@ -9,62 +9,93 @@
 //! [`Completion`] makes the race safe: the first completer wins, later
 //! completers get `false` back and drop their reply. The waiting
 //! transport thread always observes exactly one reply.
+//!
+//! The completer notifies only a reader that is asleep: the reader sets a
+//! flag under the slot lock before it sleeps, and a condvar notify is a
+//! futex syscall even when nobody waits, while most replies — every one
+//! answered at admission — land before their reader asks.
+//! [`Completion::wait_with`] lends the reply to a closure under the lock,
+//! so a transport renders it without copying it out.
 
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use crate::proto::{ServeReply, ServeRequest};
 
 /// Single-assignment reply slot with a blocking reader.
 pub struct Completion {
-    slot: Mutex<Option<ServeReply>>,
+    slot: Mutex<Slot>,
     ready: Condvar,
+}
+
+#[derive(Default)]
+struct Slot {
+    reply: Option<ServeReply>,
+    /// Set, under the lock, by a reader about to sleep on `ready`. Only
+    /// then does [`Completion::complete`] notify: a condvar notify is a
+    /// futex syscall even with nobody waiting, and most replies (every
+    /// one answered at admission) land before anyone waits. The reply
+    /// lands once, so the flag is never cleared.
+    sleeping: bool,
 }
 
 impl Default for Completion {
     fn default() -> Completion {
         Completion {
-            slot: Mutex::new(None),
+            slot: Mutex::new(Slot::default()),
             ready: Condvar::new(),
         }
     }
 }
 
 impl Completion {
+    fn lock(&self) -> MutexGuard<'_, Slot> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Stores `reply` if the slot is still empty. Returns true when this
     /// call won the race (the reply will be delivered), false when an
     /// earlier completer already answered.
     pub fn complete(&self, reply: ServeReply) -> bool {
-        let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
-        if slot.is_some() {
+        let mut slot = self.lock();
+        if slot.reply.is_some() {
             return false;
         }
-        *slot = Some(reply);
+        slot.reply = Some(reply);
+        let sleeping = slot.sleeping;
         drop(slot);
-        self.ready.notify_all();
+        if sleeping {
+            self.ready.notify_all();
+        }
         true
     }
 
     /// True once a reply landed.
     pub fn is_done(&self) -> bool {
-        self.slot
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .is_some()
+        self.lock().reply.is_some()
     }
 
-    /// Blocks until the reply lands and returns a clone of it.
-    pub fn wait(&self) -> ServeReply {
-        let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
+    /// Blocks until the reply lands, then hands it to `f` under the slot
+    /// lock and returns what `f` returns: a transport renders the reply
+    /// in place instead of copying it out. `f` must not call back into
+    /// this `Completion`; the lock is not reentrant.
+    pub fn wait_with<R>(&self, f: impl FnOnce(&ServeReply) -> R) -> R {
+        let mut slot = self.lock();
         loop {
-            if let Some(reply) = slot.as_ref() {
-                return reply.clone();
+            if let Some(reply) = &slot.reply {
+                return f(reply);
             }
+            slot.sleeping = true;
             slot = self
                 .ready
                 .wait(slot)
                 .unwrap_or_else(PoisonError::into_inner);
         }
+    }
+
+    /// Blocks until the reply lands and returns a clone of it.
+    pub fn wait(&self) -> ServeReply {
+        self.wait_with(ServeReply::clone)
     }
 }
 
@@ -113,7 +144,7 @@ mod tests {
     use super::*;
     use hetsel_core::DecisionRequest;
     use hetsel_ir::Binding;
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
     use std::thread;
     use std::time::Duration;
 
@@ -147,6 +178,41 @@ mod tests {
         assert!(!p.done.is_done());
         assert!(p.done.complete(ServeReply::error(Some(4), "late")));
         assert_eq!(waiter.join().unwrap().id(), Some(4));
+    }
+
+    /// `complete` races `wait_with` on another thread, round after round.
+    /// In even rounds the reply usually lands before the reader arrives;
+    /// in odd ones the reply waits until the reader is asleep (seen
+    /// through its flag, for at most 5 ms), so a wake that `complete`
+    /// skips is lost. A lost wake fails the round's bounded wait instead
+    /// of hanging the test.
+    #[test]
+    fn completion_never_loses_a_wake() {
+        const ROUNDS: u64 = 20_000;
+        let (slots, slots_rx) = mpsc::channel::<Arc<Completion>>();
+        let (ids_tx, ids) = mpsc::channel();
+        let reader = thread::spawn(move || {
+            for done in slots_rx {
+                let _ = ids_tx.send(done.wait_with(ServeReply::id));
+            }
+        });
+        for round in 0..ROUNDS {
+            let done = Arc::new(Completion::default());
+            slots.send(Arc::clone(&done)).unwrap();
+            if round % 2 == 1 {
+                let patience = Instant::now() + Duration::from_millis(5);
+                while !done.lock().sleeping && Instant::now() < patience {
+                    thread::yield_now();
+                }
+            }
+            assert!(done.complete(ServeReply::error(Some(round), "")));
+            let id = ids
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("lost wake: round {round} was never read"));
+            assert_eq!(id, Some(round));
+        }
+        drop(slots);
+        reader.join().unwrap();
     }
 
     #[test]

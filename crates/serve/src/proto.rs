@@ -22,10 +22,20 @@
 //! dispatcher's "the host is never fully load-shed" rule: admission
 //! control may refuse to spend model-evaluation budget on a request, but
 //! it never refuses to answer it.
+//!
+//! Neither direction goes through the vendored serde's [`Value`] tree on
+//! the serve path: [`parse_request_line`] decodes a line in one pass
+//! straight into a [`ServeRequest`], and [`ServeReply::write_json`]
+//! renders a reply straight from its fields. The [`Deserialize`] and
+//! [`Serialize`] impls stay, as the oracles the two are tested against
+//! (`tests/request_decode.rs`, `tests/reply_json.rs`) and for clients.
 
+use std::borrow::Cow;
 use std::io::Write;
+use std::time::Duration;
 
-use hetsel_core::{Decision, DecisionRequest, DispatchOutcome};
+use hetsel_core::{Decision, DecisionRequest, DispatchOutcome, Policy};
+use hetsel_ir::Binding;
 use serde::{Deserialize, Serialize, Value};
 
 /// Why the server refused to evaluate a request. The ordinal doubles as
@@ -120,6 +130,8 @@ impl Serialize for ServeRequest {
     }
 }
 
+/// The `Value`-tree reading of a request, kept as the oracle that
+/// [`parse_request_line`] is tested against (`tests/request_decode.rs`).
 impl Deserialize for ServeRequest {
     fn from_value(v: &Value) -> Result<ServeRequest, serde::Error> {
         if !matches!(v, Value::Object(_)) {
@@ -643,20 +655,452 @@ impl Deserialize for ServeReply {
 /// business (transports skip them). The error side is boxed: replies are
 /// wide (they carry a whole degraded decision in the shed arm) and the
 /// refusal path is cold.
+///
+/// The line is decoded in one pass, straight into the request, with no
+/// intermediate [`Value`] tree; strings without escapes are borrowed from
+/// the line. It accepts exactly the lines `serde_json::from_str::<ServeRequest>`
+/// accepts, to the same values, and the [`Deserialize`] impl above stays
+/// as the oracle that `tests/request_decode.rs` holds this decoder to:
+///
+/// * a duplicated key counts once, by its first copy, in the envelope and
+///   in `request`; inside `binding` every copy is set, so the last wins;
+/// * the error reply of a line that is JSON but not a request carries the
+///   first top-level `"id"`, when that is an integer in `u64` range; a line
+///   that is not JSON carries none.
+///
+/// Time and memory are linear in the line, however hostile: nesting in
+/// unknown members is stepped over with a heap stack, not recursion.
 pub fn parse_request_line(line: &str) -> Result<ServeRequest, Box<ServeReply>> {
-    match serde_json::from_str::<ServeRequest>(line) {
-        Ok(req) => Ok(req),
-        Err(e) => {
-            // Best-effort id recovery so even a reply to a half-broken
-            // line correlates, when the envelope's id did parse.
-            let id = serde_json::from_str::<Value>(line)
-                .ok()
-                .and_then(|v| match v.get("id") {
-                    Some(Value::UInt(n)) => Some(*n),
-                    Some(Value::Int(n)) => u64::try_from(*n).ok(),
-                    _ => None,
+    let mut decoder = Decoder {
+        text: line,
+        pos: 0,
+        invalid: None,
+    };
+    let bad =
+        |id, message: String| Box::new(ServeReply::error(id, format!("bad request: {message}")));
+    let envelope = match decoder.envelope().and_then(|e| decoder.end().map(|()| e)) {
+        Ok(envelope) => envelope,
+        Err(Syntax(message)) => return Err(bad(None, message)),
+    };
+    let id = envelope.id.flatten();
+    match (decoder.invalid, envelope.request.flatten()) {
+        (None, Some(request)) => Ok(ServeRequest {
+            id,
+            request,
+            dispatch: envelope.dispatch.unwrap_or(false),
+        }),
+        (Some(message), _) => Err(bad(id, message)),
+        (None, None) => Err(bad(id, "missing field: request".to_string())),
+    }
+}
+
+/// The line is not JSON, as the vendored `serde_json` reads JSON.
+struct Syntax(String);
+
+/// The envelope's members. The outer `Option` of each is "seen", so the
+/// first copy of a key wins; the inner one is the decoded value, `None`
+/// when it was `null` or invalid.
+#[derive(Default)]
+struct Envelope {
+    id: Option<Option<u64>>,
+    request: Option<Option<DecisionRequest>>,
+    dispatch: Option<bool>,
+}
+
+/// One JSON value as the decoder needs it: scalars in full, containers
+/// checked and stepped over.
+enum Item<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    UInt(u64),
+    Float,
+    Str(Cow<'a, str>),
+    Container,
+}
+
+struct Decoder<'a> {
+    text: &'a str,
+    pos: usize,
+    /// The first reason the line, though JSON, is not a request. Decoding
+    /// carries on to the end of the line after it, because a later syntax
+    /// error still makes the line not JSON, and takes the echoed id away.
+    invalid: Option<String>,
+}
+
+impl<'a> Decoder<'a> {
+    fn envelope(&mut self) -> Result<Envelope, Syntax> {
+        let mut envelope = Envelope::default();
+        self.ws();
+        if self.peek() != Some(b'{') {
+            self.item()?;
+            self.mark_invalid(|| "expected a request object".to_string());
+            return Ok(envelope);
+        }
+        self.object(|d, key| {
+            match &*key {
+                "id" if envelope.id.is_none() => envelope.id = Some(d.uint("id")?),
+                "request" if envelope.request.is_none() => {
+                    envelope.request = Some(d.decision_request()?)
+                }
+                "dispatch" if envelope.dispatch.is_none() => {
+                    envelope.dispatch = Some(match d.item()? {
+                        Item::Null => false,
+                        Item::Bool(b) => b,
+                        _ => {
+                            d.mark_invalid(|| "bad dispatch flag".to_string());
+                            false
+                        }
+                    })
+                }
+                _ => {
+                    d.item()?;
+                }
+            }
+            Ok(())
+        })?;
+        Ok(envelope)
+    }
+
+    /// The `request` member; `None` when it is not a valid request.
+    fn decision_request(&mut self) -> Result<Option<DecisionRequest>, Syntax> {
+        if self.peek() != Some(b'{') {
+            self.item()?;
+            self.mark_invalid(|| "request is not an object".to_string());
+            return Ok(None);
+        }
+        let mut region: Option<Option<String>> = None;
+        let mut binding: Option<Binding> = None;
+        let mut policy: Option<Option<Policy>> = None;
+        let mut deadline: Option<Option<u64>> = None;
+        self.object(|d, key| {
+            match &*key {
+                "region" if region.is_none() => {
+                    region = Some(match d.item()? {
+                        Item::Str(s) => Some(s.into_owned()),
+                        _ => {
+                            d.mark_invalid(|| "region is not a string".to_string());
+                            None
+                        }
+                    })
+                }
+                "binding" if binding.is_none() => binding = Some(d.binding()?),
+                "policy_override" if policy.is_none() => {
+                    policy = Some(match d.item()? {
+                        Item::Null => None,
+                        Item::Str(s) => {
+                            let parsed = Policy::parse(&s);
+                            if parsed.is_none() {
+                                d.mark_invalid(|| format!("unknown policy {s:?}"));
+                            }
+                            parsed
+                        }
+                        _ => {
+                            d.mark_invalid(|| "policy_override is not a string".to_string());
+                            None
+                        }
+                    })
+                }
+                "deadline_ns" if deadline.is_none() => deadline = Some(d.uint("deadline_ns")?),
+                _ => {
+                    d.item()?;
+                }
+            }
+            Ok(())
+        })?;
+        if region.is_none() {
+            self.mark_invalid(|| "missing field: region".to_string());
+        }
+        if binding.is_none() {
+            self.mark_invalid(|| "missing field: binding".to_string());
+        }
+        let (Some(Some(region)), Some(binding)) = (region, binding) else {
+            return Ok(None);
+        };
+        let mut request = DecisionRequest::new(region, binding);
+        if let Some(Some(policy)) = policy {
+            request = request.with_policy(policy);
+        }
+        if let Some(Some(ns)) = deadline {
+            request = request.with_deadline(Duration::from_nanos(ns));
+        }
+        Ok(Some(request))
+    }
+
+    /// The `binding` member: every entry must be an integer in `i64`
+    /// range. Entries are set in order, so a repeated name keeps its last
+    /// value.
+    fn binding(&mut self) -> Result<Binding, Syntax> {
+        let mut binding = Binding::new();
+        if self.peek() != Some(b'{') {
+            self.item()?;
+            self.mark_invalid(|| "binding is not an object".to_string());
+            return Ok(binding);
+        }
+        self.object(|d, name| {
+            match d.item()? {
+                Item::Int(n) => binding.set(name, n),
+                Item::UInt(n) => match i64::try_from(n) {
+                    Ok(n) => binding.set(name, n),
+                    Err(_) => d.mark_invalid(|| format!("binding {name} out of range: {n}")),
+                },
+                _ => d.mark_invalid(|| format!("binding {name} is not an integer")),
+            }
+            Ok(())
+        })?;
+        Ok(binding)
+    }
+
+    /// An optional unsigned member (`id`, `deadline_ns`): `null` is none,
+    /// an integer in `u64` range is kept (`-0` too, as serde converts it),
+    /// anything else is invalid.
+    fn uint(&mut self, field: &'static str) -> Result<Option<u64>, Syntax> {
+        Ok(match self.item()? {
+            Item::Null => None,
+            Item::UInt(n) => Some(n),
+            Item::Int(n) if n >= 0 => Some(n.unsigned_abs()),
+            _ => {
+                self.mark_invalid(|| format!("{field} is not an unsigned integer"));
+                None
+            }
+        })
+    }
+
+    fn mark_invalid(&mut self, message: impl FnOnce() -> String) {
+        if self.invalid.is_none() {
+            self.invalid = Some(message());
+        }
+    }
+
+    /// Calls `member` with each key of the object at the cursor, with the
+    /// cursor at the key's value; `member` must consume that value.
+    fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), Syntax>,
+    ) -> Result<(), Syntax> {
+        self.pos += 1;
+        self.ws();
+        if self.eat(b"}") {
+            return Ok(());
+        }
+        loop {
+            let key = self.key()?;
+            member(self, key)?;
+            self.ws();
+            match self.bump() {
+                Some(b',') => self.ws(),
+                Some(b'}') => return Ok(()),
+                _ => return Err(self.unexpected("',' or '}' in an object")),
+            }
+        }
+    }
+
+    /// A member's key and its colon, leaving the cursor at the value.
+    fn key(&mut self) -> Result<Cow<'a, str>, Syntax> {
+        if self.peek() != Some(b'"') {
+            return Err(self.unexpected("a key"));
+        }
+        let key = self.string()?;
+        self.ws();
+        if !self.eat(b":") {
+            return Err(self.unexpected("':'"));
+        }
+        self.ws();
+        Ok(key)
+    }
+
+    /// The value at the cursor.
+    fn item(&mut self) -> Result<Item<'a>, Syntax> {
+        Ok(match self.peek() {
+            Some(b'{' | b'[') => {
+                self.skip_container()?;
+                Item::Container
+            }
+            Some(b'"') => Item::Str(self.string()?),
+            Some(b'-' | b'0'..=b'9') => self.number()?,
+            Some(b'n') if self.eat(b"null") => Item::Null,
+            Some(b't') if self.eat(b"true") => Item::Bool(true),
+            Some(b'f') if self.eat(b"false") => Item::Bool(false),
+            _ => return Err(self.unexpected("a value")),
+        })
+    }
+
+    /// Steps over the object or array at the cursor, checking its syntax.
+    /// `open` holds the closing byte of each container entered, so depth
+    /// costs heap, not call stack.
+    fn skip_container(&mut self) -> Result<(), Syntax> {
+        let mut open: Vec<u8> = Vec::new();
+        loop {
+            // The cursor is at a value.
+            match self.peek() {
+                Some(first @ (b'{' | b'[')) => {
+                    self.pos += 1;
+                    self.ws();
+                    let close = if first == b'{' { b'}' } else { b']' };
+                    if !self.eat(&[close]) {
+                        open.push(close);
+                        if close == b'}' {
+                            self.key()?;
+                        }
+                        continue;
+                    }
+                }
+                _ => {
+                    self.item()?;
+                }
+            }
+            // After a value: close what it ended, or go on to the next one.
+            loop {
+                let Some(&close) = open.last() else {
+                    return Ok(());
+                };
+                self.ws();
+                match self.bump() {
+                    Some(b',') => {
+                        self.ws();
+                        if close == b'}' {
+                            self.key()?;
+                        }
+                        break;
+                    }
+                    Some(b) if b == close => {
+                        open.pop();
+                    }
+                    _ => return Err(self.unexpected("',' or a closing bracket")),
+                }
+            }
+        }
+    }
+
+    /// The string literal at the cursor. It is borrowed from the line when
+    /// it has no escapes; plain runs are found and copied whole, so each
+    /// byte is looked at once.
+    fn string(&mut self) -> Result<Cow<'a, str>, Syntax> {
+        self.pos += 1;
+        let mut owned: Option<String> = None;
+        loop {
+            let start = self.pos;
+            let run = self.text.as_bytes()[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| Syntax("unterminated string".to_string()))?;
+            // Both ends sit next to an ASCII byte (a quote, a backslash,
+            // or the last of an escape), so they are character boundaries.
+            let plain = &self.text[start..start + run];
+            self.pos = start + run + 1;
+            if self.text.as_bytes()[start + run] == b'"' {
+                return Ok(match owned {
+                    None => Cow::Borrowed(plain),
+                    Some(mut s) => {
+                        s.push_str(plain);
+                        Cow::Owned(s)
+                    }
                 });
-            Err(Box::new(ServeReply::error(id, format!("bad request: {e}"))))
+            }
+            let s = owned.get_or_insert_with(String::new);
+            s.push_str(plain);
+            s.push(self.escape()?);
+        }
+    }
+
+    /// The character an escape stands for; the cursor is past its
+    /// backslash. `\u` takes four bytes through `u32::from_str_radix`, as
+    /// the vendored `serde_json` does, and a lone surrogate is refused.
+    fn escape(&mut self) -> Result<char, Syntax> {
+        Ok(match self.bump() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                let code = self
+                    .text
+                    .as_bytes()
+                    .get(self.pos..self.pos + 4)
+                    .and_then(|hex| std::str::from_utf8(hex).ok())
+                    .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                    .ok_or_else(|| Syntax("bad \\u escape".to_string()))?;
+                self.pos += 4;
+                char::from_u32(code).ok_or_else(|| Syntax("bad \\u code point".to_string()))?
+            }
+            _ => return Err(Syntax(format!("bad escape before byte {}", self.pos))),
+        })
+    }
+
+    /// The number at the cursor, read as the vendored `serde_json` reads
+    /// it: an optional minus, then a run of digits and `.eE+-`. Any of
+    /// `.eE+-` in the run makes it a float; otherwise it is signed when it
+    /// starts with a minus. The run then goes through std's parser.
+    fn number(&mut self) -> Result<Item<'a>, Syntax> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        let mut float = false;
+        while let Some(b) = self.peek() {
+            match b {
+                b'0'..=b'9' => {}
+                b'.' | b'e' | b'E' | b'+' | b'-' => float = true,
+                _ => break,
+            }
+            self.pos += 1;
+        }
+        let text = &self.text[start..self.pos];
+        let item = if float {
+            text.parse::<f64>().ok().map(|_| Item::Float)
+        } else if text.starts_with('-') {
+            text.parse().ok().map(Item::Int)
+        } else {
+            text.parse().ok().map(Item::UInt)
+        };
+        item.ok_or_else(|| Syntax(format!("invalid number at byte {start}")))
+    }
+
+    /// Checks that only whitespace follows the envelope.
+    fn end(&mut self) -> Result<(), Syntax> {
+        self.ws();
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(self.unexpected("the end of the line")),
+        }
+    }
+
+    fn ws(&mut self) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.pos += 1;
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn bump(&mut self) -> Option<u8> {
+        let b = self.peek();
+        self.pos += usize::from(b.is_some());
+        b
+    }
+
+    fn eat(&mut self, word: &[u8]) -> bool {
+        let found = self.text.as_bytes()[self.pos..].starts_with(word);
+        if found {
+            self.pos += word.len();
+        }
+        found
+    }
+
+    fn unexpected(&self, wanted: &str) -> Syntax {
+        match self.peek() {
+            Some(b) => Syntax(format!(
+                "expected {wanted} at byte {}, found {:?}",
+                self.pos,
+                char::from(b)
+            )),
+            None => Syntax(format!("expected {wanted}, found the end of the line")),
         }
     }
 }

@@ -12,11 +12,15 @@
 //! The queue is deliberately built on `std::sync::{Mutex, Condvar}`, not
 //! the vendored `parking_lot` (which exposes no condvar): the consumer
 //! must *sleep* while the queue is empty, and a condvar is the only
-//! primitive in the tree that can wake it without spinning. Every lock
-//! acquisition recovers from poisoning with `PoisonError::into_inner` — a
-//! panicking producer must not wedge the batcher (the same discipline
-//! `hetsel-obs` applies to its registries; the queue's state is a
-//! `VecDeque` plus two flags, both valid after any partial mutation).
+//! primitive in the tree that can wake it without spinning. A notify is
+//! a futex syscall whether or not anyone waits, so sleepers say so under
+//! the lock first: a push notifies `arrived` only while the consumer
+//! sleeps, and a batch notifies `vacated` only while a
+//! [`AdmissionQueue::push_wait`] caller sleeps. Every lock acquisition
+//! recovers from poisoning with `PoisonError::into_inner` — a panicking
+//! producer must not wedge the batcher (the same discipline `hetsel-obs`
+//! applies to its registries; the queue's state is a `VecDeque`, two
+//! flags and a count, each valid after any partial mutation).
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -35,9 +39,13 @@ pub enum Admission {
 struct QueueState<T> {
     items: VecDeque<T>,
     closed: bool,
+    /// The consumer is asleep on `arrived`.
+    consumer_sleeping: bool,
+    /// `push_wait` callers asleep on `vacated`.
+    producers_sleeping: usize,
 }
 
-/// A bounded MPSC queue whose consumer drains whatever is queued.
+/// A bounded MPSC queue whose one consumer drains whatever is queued.
 pub struct AdmissionQueue<T> {
     state: Mutex<QueueState<T>>,
     /// Signals the consumer: items arrived or the queue closed.
@@ -54,6 +62,8 @@ impl<T> AdmissionQueue<T> {
             state: Mutex::new(QueueState {
                 items: VecDeque::with_capacity(capacity.max(1)),
                 closed: false,
+                consumer_sleeping: false,
+                producers_sleeping: 0,
             }),
             arrived: Condvar::new(),
             vacated: Condvar::new(),
@@ -94,8 +104,9 @@ impl<T> AdmissionQueue<T> {
             state.items.push_back(item);
             admitted += 1;
         }
+        let wake = admitted > 0 && state.consumer_sleeping;
         drop(state);
-        if admitted > 0 {
+        if wake {
             self.arrived.notify_one();
         }
         (admitted, verdict)
@@ -107,17 +118,22 @@ impl<T> AdmissionQueue<T> {
     pub fn push_wait(&self, item: T) -> Admission {
         let mut state = self.lock();
         while !state.closed && state.items.len() >= self.capacity {
+            state.producers_sleeping += 1;
             state = self
                 .vacated
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
+            state.producers_sleeping -= 1;
         }
         if state.closed {
             return Admission::Closed;
         }
         state.items.push_back(item);
+        let wake = state.consumer_sleeping;
         drop(state);
-        self.arrived.notify_one();
+        if wake {
+            self.arrived.notify_one();
+        }
         Admission::Admitted
     }
 
@@ -133,16 +149,21 @@ impl<T> AdmissionQueue<T> {
             if state.closed {
                 return None;
             }
+            state.consumer_sleeping = true;
             state = self
                 .arrived
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
+            state.consumer_sleeping = false;
         }
         let take = state.items.len().min(max_batch.max(1));
         let batch: Vec<T> = state.items.drain(..take).collect();
+        let wake = state.producers_sleeping > 0;
         drop(state);
-        // Space freed: wake every blocked producer (each re-checks).
-        self.vacated.notify_all();
+        if wake {
+            // Space freed: wake every blocked producer (each re-checks).
+            self.vacated.notify_all();
+        }
         Some(batch)
     }
 
@@ -279,6 +300,65 @@ mod tests {
         assert_eq!(q.next_batch(1).unwrap(), vec![1]);
         assert_eq!(producer.join().unwrap(), Admission::Admitted);
         assert_eq!(q.next_batch(1).unwrap(), vec![2]);
+    }
+
+    /// Capacity 2 against four `push_wait` producers, one `try_push_all`
+    /// producer and the draining consumer: the consumer and the blocking
+    /// producers sleep again and again, and each must be woken when its
+    /// condition turns. Every item arrives exactly once. A lost wake
+    /// stalls the run, which the bounded wait turns into a failure
+    /// instead of a hang.
+    #[test]
+    fn sleepers_are_always_woken() {
+        const PER_PRODUCER: u64 = 5_000;
+        const PRODUCERS: u64 = 5;
+        let q = Arc::new(AdmissionQueue::new(2));
+        let (done, finished) = std::sync::mpsc::channel();
+        let consumer = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || {
+                let mut seen = Vec::new();
+                while (seen.len() as u64) < PRODUCERS * PER_PRODUCER {
+                    seen.extend(q.next_batch(8).expect("open until every item arrived"));
+                }
+                let _ = done.send(());
+                seen
+            })
+        };
+        let mut producers: Vec<_> = (0..PRODUCERS - 1)
+            .map(|p| {
+                let q = Arc::clone(&q);
+                thread::spawn(move || {
+                    for item in p * PER_PRODUCER..(p + 1) * PER_PRODUCER {
+                        assert_eq!(q.push_wait(item), Admission::Admitted);
+                    }
+                })
+            })
+            .collect();
+        producers.push({
+            let q = Arc::clone(&q);
+            thread::spawn(move || {
+                let mut next = (PRODUCERS - 1) * PER_PRODUCER;
+                let end = PRODUCERS * PER_PRODUCER;
+                while next < end {
+                    let burst = next..(next + 3).min(end);
+                    let (admitted, _) = q.try_push_all(burst);
+                    next += admitted as u64;
+                    if admitted == 0 {
+                        thread::yield_now();
+                    }
+                }
+            })
+        });
+        finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("lost wake: the items stopped arriving");
+        for producer in producers {
+            producer.join().unwrap();
+        }
+        let mut seen = consumer.join().unwrap();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..PRODUCERS * PER_PRODUCER).collect::<Vec<_>>());
     }
 
     #[test]

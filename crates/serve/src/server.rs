@@ -127,9 +127,18 @@ impl Inner {
                 format!("unknown region {:?}", request.region()),
             ),
         };
-        hetsel_obs::registry()
-            .counter(&format!("hetsel.serve.shed.{}", reason.metric_key()))
-            .inc();
+        // One cached counter per reason: a `queue_full` flood sheds on
+        // every request, so no name is built or looked up here.
+        match reason {
+            ShedReason::QueueFull => hetsel_obs::static_counter!("hetsel.serve.shed.queue_full"),
+            ShedReason::DeadlineExpired => {
+                hetsel_obs::static_counter!("hetsel.serve.shed.deadline_expired")
+            }
+            ShedReason::ShuttingDown => {
+                hetsel_obs::static_counter!("hetsel.serve.shed.shutting_down")
+            }
+        }
+        .inc();
         hetsel_obs::record_event(|| {
             let mut ev = DecisionEvent::new(EventKind::Shed, request.region());
             ev.detail = reason.code();

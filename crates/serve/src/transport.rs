@@ -210,21 +210,25 @@ impl<'h> Burst<'h> {
             return Ok(());
         }
         let mut pending = self.handle.submit_all(self.requests.drain(..)).into_iter();
-        self.out.clear();
+        let (out, stats) = (&mut self.out, &mut self.stats);
+        out.clear();
+        let mut render = |reply: &ServeReply| {
+            if reply.status() == "error" {
+                stats.errors += 1;
+            }
+            reply.write_json(out);
+            out.push(b'\n');
+        };
         let replies = self.slots.len() as u64;
         for slot in self.slots.drain(..) {
-            let reply = slot.unwrap_or_else(|| {
-                pending
+            match slot {
+                Some(reply) => render(&reply),
+                None => pending
                     .next()
                     .expect("one pending request per submitted line")
                     .done
-                    .wait()
-            });
-            if reply.status() == "error" {
-                self.stats.errors += 1;
+                    .wait_with(&mut render),
             }
-            reply.write_json(&mut self.out);
-            self.out.push(b'\n');
         }
         writer.write_all(&self.out)?;
         writer.flush()?;

@@ -3,11 +3,12 @@
 //! line — not JSON, not UTF-8, or longer than the line cap — must produce
 //! a typed `"status":"error"` reply — never a panic, never a dropped
 //! connection, never a skipped slot that would desync the client's reply
-//! correlation — however the input is split across reads.
+//! correlation — however the input is split across reads. Its reply
+//! also comes in time linear in the line's length.
 
 use std::io::{BufReader, Cursor};
 use std::sync::OnceLock;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hetsel_core::{
     DecisionEngine, DecisionRequest, Dispatcher, DispatcherConfig, Platform, Selector,
@@ -230,5 +231,60 @@ proptest! {
                 Line::Blank(_) => unreachable!("blanks were filtered"),
             }
         }
+    }
+}
+
+/// The time of one session of `line` alone, which must get one error
+/// reply.
+fn time_error_reply(line: &str) -> Duration {
+    let mut out = Vec::new();
+    let start = Instant::now();
+    let stats = serve_lines(handle(), Cursor::new(format!("{line}\n")), &mut out)
+        .expect("in-memory transport cannot fail");
+    let took = start.elapsed();
+    assert_eq!((stats.lines, stats.replies, stats.errors), (1, 1, 1));
+    took
+}
+
+/// A long line costs time linear in its length, however hostile: a
+/// 64 KiB region string costs less than 64 times a 4 KiB one, whether the
+/// region is unknown or the line is cut short of its closing brace.
+/// Linear growth gives about 16 times; a parser that rescans the rest of
+/// the line for every character of a string gives hundreds.
+#[test]
+fn a_long_line_costs_time_linear_in_its_length() {
+    let long = MAX_LINE_BYTES - 64;
+    let short = long / 16;
+    let unknown_region = |len: usize| {
+        format!(
+            r#"{{"id":1,"request":{{"region":"{}","binding":{{}}}}}}"#,
+            "x".repeat(len)
+        )
+    };
+    let cut_short = |len: usize| {
+        let mut line = unknown_region(len);
+        line.pop();
+        line
+    };
+    for (shape, line) in [
+        (
+            "unknown region",
+            &unknown_region as &dyn Fn(usize) -> String,
+        ),
+        ("cut short", &cut_short),
+    ] {
+        let (long, short) = (line(long), line(short));
+        // The fastest of five timings each, taken in turn, so a slow spell
+        // of the machine cannot fall on one length only.
+        let (mut fastest_long, mut fastest_short) = (Duration::MAX, Duration::MAX);
+        for _ in 0..5 {
+            fastest_long = fastest_long.min(time_error_reply(&long));
+            fastest_short = fastest_short.min(time_error_reply(&short));
+        }
+        let ratio = fastest_long.as_secs_f64() / fastest_short.as_secs_f64();
+        assert!(
+            ratio < 64.0,
+            "{shape}: a 16x longer line cost {ratio:.0}x the time"
+        );
     }
 }

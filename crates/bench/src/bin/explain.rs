@@ -20,7 +20,6 @@
 //!   exit on violation (CI runs this)
 //! - `--dataset mini|test|benchmark` (default `test`)
 //! - `--platform p9|p8` (default POWER9+V100)
-//! - `--trace`     print the structured span tree to stderr while deciding
 //! - `--metrics`   append a registry snapshot to `results/metrics.jsonl`
 //! - `--dispatch`  route every kernel through the fault-tolerant
 //!   [`Dispatcher`] so each explanation carries the dispatch terms (final
@@ -40,7 +39,6 @@ fn main() {
     let mut kernels: Vec<String> = Vec::new();
     let mut json = false;
     let mut validate = false;
-    let mut trace = false;
     let mut metrics = false;
     let mut dispatch = false;
     let mut gpu_fault = 0.0f64;
@@ -53,7 +51,6 @@ fn main() {
         match args[i].as_str() {
             "--json" => json = true,
             "--validate" => validate = true,
-            "--trace" => trace = true,
             "--metrics" => metrics = true,
             "--dispatch" => dispatch = true,
             "--gpu-fault" => {
@@ -98,9 +95,6 @@ fn main() {
         i += 1;
     }
 
-    if trace {
-        hetsel_obs::set_subscriber(Some(std::sync::Arc::new(hetsel_obs::StderrSubscriber)));
-    }
     hetsel_obs::metrics::set_timing(true);
 
     // Resolve the requested kernels (default: everything in the suite).
@@ -143,7 +137,8 @@ fn main() {
         // runs tell the same story.
         let mut config = DispatcherConfig::default();
         if gpu_fault > 0.0 {
-            config = config.with_gpu_faults(FaultPlan::transient(42, gpu_fault).with_jitter(1e-4));
+            config = config
+                .with_device_faults("gpu", FaultPlan::transient(42, gpu_fault).with_jitter(1e-4));
         }
         let dispatcher = Dispatcher::new(engine, config);
         for (kernel, binding) in &targets {

@@ -136,7 +136,7 @@ fn main() {
         let dispatcher = Dispatcher::new(
             DecisionEngine::new(Selector::new(platform.clone()), &kernels),
             DispatcherConfig::default()
-                .with_gpu_faults(plan)
+                .with_device_faults("gpu", plan)
                 .with_breaker(BreakerConfig::default()),
         );
 

@@ -525,9 +525,8 @@ impl Calibrator {
         self.len() == 0
     }
 
-    /// Restores previously snapshotted cells — the persistence path, the
-    /// analogue of `ProfileHistory::import` for corrections. Each row
-    /// (typically from [`Calibrator::snapshot`], possibly serialized in
+    /// Restores previously snapshotted cells — the persistence path. Each
+    /// row (typically from [`Calibrator::snapshot`], possibly serialized in
     /// between) is reconstructed as a full Welford cell (count, mean,
     /// variance, published bias), replacing any existing cell under the
     /// same key; rows without samples are skipped. If any absorbed row

@@ -88,20 +88,15 @@ impl Default for RetryConfig {
     }
 }
 
-/// Full dispatcher configuration: one fault plan per device plus breaker
+/// Full dispatcher configuration: fault plans by device label plus breaker
 /// and retry tuning. The default injects no faults at all.
 #[derive(Debug, Clone, Default)]
 pub struct DispatcherConfig {
-    /// Fault plan applied to the *primary* accelerator's execution attempts
-    /// (fleet id 1). Further accelerators default to no faults; target them
-    /// by label with [`DispatcherConfig::with_device_faults`].
-    pub gpu_faults: FaultPlan,
-    /// Fault plan applied to host execution attempts.
-    pub cpu_faults: FaultPlan,
-    /// Per-label fault-plan overrides, applied after `gpu_faults` /
-    /// `cpu_faults`. Labels must name devices registered in the engine's
-    /// fleet ([`Dispatcher::new`] panics otherwise — a plan for a device
-    /// that does not exist is a configuration bug).
+    /// Fault plans by fleet device label (`"host"`, `"gpu"` on the classic
+    /// pair), applied in order; a device without one runs fault-free.
+    /// Labels must name devices registered in the engine's fleet
+    /// ([`Dispatcher::new`] panics otherwise — a plan for a device that
+    /// does not exist is a configuration bug).
     pub device_faults: Vec<(String, FaultPlan)>,
     /// Circuit-breaker tuning (shared by every device).
     pub breaker: BreakerConfig,
@@ -110,18 +105,6 @@ pub struct DispatcherConfig {
 }
 
 impl DispatcherConfig {
-    /// Builder: inject `plan` on the primary accelerator's attempts.
-    pub fn with_gpu_faults(mut self, plan: FaultPlan) -> DispatcherConfig {
-        self.gpu_faults = plan;
-        self
-    }
-
-    /// Builder: inject `plan` on host attempts.
-    pub fn with_cpu_faults(mut self, plan: FaultPlan) -> DispatcherConfig {
-        self.cpu_faults = plan;
-        self
-    }
-
     /// Builder: inject `plan` on the attempts of the fleet device labelled
     /// `label` (any device, the host included).
     pub fn with_device_faults(mut self, label: &str, plan: FaultPlan) -> DispatcherConfig {
@@ -624,7 +607,7 @@ impl Dispatcher {
     pub fn new(engine: DecisionEngine, config: DispatcherConfig) -> Dispatcher {
         let fleet = engine.selector().fleet().clone();
         let mut health = Vec::with_capacity(fleet.len());
-        let mut plans = Vec::with_capacity(fleet.len());
+        let mut plans = vec![FaultPlan::none(); fleet.len()];
         health.push(DeviceHealth::new(
             DeviceId::HOST,
             fleet.host_label_arc().clone(),
@@ -632,7 +615,6 @@ impl Dispatcher {
             fleet.host_capacity(),
             &config.breaker,
         ));
-        plans.push(config.cpu_faults);
         for (i, accel) in fleet.accelerators().iter().enumerate() {
             health.push(DeviceHealth::new(
                 DeviceId((i + 1) as u16),
@@ -641,11 +623,6 @@ impl Dispatcher {
                 accel.capacity,
                 &config.breaker,
             ));
-            plans.push(if i == 0 {
-                config.gpu_faults
-            } else {
-                FaultPlan::none()
-            });
         }
         for (label, plan) in &config.device_faults {
             let id = fleet.device_id_of(label).unwrap_or_else(|| {
@@ -1252,7 +1229,7 @@ mod tests {
     #[test]
     fn permanent_gpu_fault_fails_over_to_the_host() {
         let config = DispatcherConfig::default()
-            .with_gpu_faults(FaultPlan::permanent(7, 1.0))
+            .with_device_faults("gpu", FaultPlan::permanent(7, 1.0))
             .with_breaker(breaker());
         let dispatcher = Dispatcher::new(engine(), config);
         // Benchmark-size gemm decides GPU; the injected fault forces host.
@@ -1274,7 +1251,7 @@ mod tests {
     #[test]
     fn breaker_opens_after_threshold_and_sheds_load() {
         let config = DispatcherConfig::default()
-            .with_gpu_faults(FaultPlan::permanent(11, 1.0))
+            .with_device_faults("gpu", FaultPlan::permanent(11, 1.0))
             .with_breaker(breaker());
         let dispatcher = Dispatcher::new(engine(), config);
         let request = gemm_request(Dataset::Benchmark);
@@ -1307,7 +1284,7 @@ mod tests {
         // Simplest deterministic route: permanent faults to trip it, then
         // verify the half-open transition fires at the right logical tick.
         let config = DispatcherConfig::default()
-            .with_gpu_faults(FaultPlan::permanent(13, 1.0))
+            .with_device_faults("gpu", FaultPlan::permanent(13, 1.0))
             .with_breaker(BreakerConfig {
                 failure_threshold: 2,
                 open_backoff: 3,
@@ -1344,7 +1321,7 @@ mod tests {
         // p=1 transient: every attempt faults, so retries exhaust and the
         // request fails over. Retry accounting must show max_attempts tries.
         let config = DispatcherConfig::default()
-            .with_gpu_faults(FaultPlan::transient(17, 1.0))
+            .with_device_faults("gpu", FaultPlan::transient(17, 1.0))
             .with_retry(RetryConfig {
                 max_attempts: 3,
                 base_backoff_s: 1e-4,
@@ -1380,7 +1357,7 @@ mod tests {
             Dispatcher::new(
                 engine(),
                 DispatcherConfig::default()
-                    .with_gpu_faults(FaultPlan::transient(42, 0.5).with_jitter(1e-4))
+                    .with_device_faults("gpu", FaultPlan::transient(42, 0.5).with_jitter(1e-4))
                     .with_breaker(breaker()),
             )
         };
@@ -1422,8 +1399,8 @@ mod tests {
         // threshold=1 trips the host breaker on the first host-decided
         // dispatch; after that a forced probe must still reach the host.
         let config = DispatcherConfig::default()
-            .with_cpu_faults(FaultPlan::transient(5, 1.0))
-            .with_gpu_faults(FaultPlan::permanent(6, 1.0))
+            .with_device_faults("host", FaultPlan::transient(5, 1.0))
+            .with_device_faults("gpu", FaultPlan::permanent(6, 1.0))
             .with_retry(RetryConfig {
                 max_attempts: 1,
                 base_backoff_s: 0.0,

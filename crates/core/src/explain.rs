@@ -512,12 +512,6 @@ impl Selector {
     /// the same representative-candidate rule behind the pair-era
     /// `predicted_gpu_s` / `gpu` headline fields.
     pub fn explain(&self, attrs: &RegionAttributes, binding: &Binding) -> Explanation {
-        let _span = hetsel_obs::span_with("hetsel.core.explain", || {
-            vec![hetsel_obs::trace::field(
-                "region",
-                attrs.kernel.name.as_str(),
-            )]
-        });
         let t_total = Instant::now();
 
         let t_cpu = Instant::now();

@@ -3,280 +3,43 @@
 //! The paper's related-work discussion concedes that profiling "could
 //! compliment our methodology by feeding the program attribute database
 //! with more actionable data over time" (§V.A). This module implements
-//! that complement: a [`ProfileHistory`] records the measured outcome of
-//! each (region, binding) execution, and an [`AdaptiveSelector`] feeds
-//! every measurement into the online [`Calibrator`] —
-//! the corrected models then decide. Never-seen configurations have no
+//! that complement: an [`AdaptiveSelector`] measures each (region, binding)
+//! execution and feeds the outcome into the online [`Calibrator`] — the
+//! corrected models then decide. Never-seen configurations have no
 //! published correction (factor exactly 1.0), so the zero-profile
 //! cold-start property of the paper's approach is preserved bit for bit.
 
 use crate::calib::{CalibrationMode, Calibrator, CalibratorConfig};
-use crate::selector::{Decision, Device, Measured, Selector};
+use crate::selector::{Decision, Device, Selector};
 use hetsel_ir::{Binding, Kernel};
-use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Key identifying one runtime configuration of a region, scoped to the
-/// parameters the region actually depends on.
-///
-/// The original key stringified the *whole* binding, so two semantically
-/// identical configurations — same region, same values for every parameter
-/// the region reads — produced different keys whenever the surrounding
-/// program bound extra, irrelevant symbols (a shared binding table is the
-/// normal case in a multi-region program). Profile feedback then silently
-/// never hit. The key is now built from the region's own parameter list:
-/// irrelevant symbols cannot perturb it, unbound required parameters are
-/// recorded explicitly (`p=?`), and the parameter list is normalised
-/// (sorted, deduplicated) so callers need not agree on ordering.
-fn scoped_key(region: &str, params: &[String], binding: &Binding) -> String {
-    let mut parts: Vec<String> = params
-        .iter()
-        .map(|p| match binding.get(p) {
-            Some(v) => format!("{p}={v}"),
-            None => format!("{p}=?"),
-        })
-        .collect();
-    parts.sort();
-    parts.dedup();
-    format!("{region}@{{{}}}", parts.join(","))
-}
-
-/// As [`scoped_key`], additionally scoped to a fleet device label — the
-/// key shape for per-device records in an N-device fleet, where a bare
-/// "accelerator time" is ambiguous. Both key families coexist in one
-/// history (and one [`HistoryExport`]): `region@{…}` for kind-level pair
-/// records, `region@{…}::<device>` for device-scoped ones.
-fn scoped_device_key(region: &str, params: &[String], binding: &Binding, device: &str) -> String {
-    format!("{}::{device}", scoped_key(region, params, binding))
-}
-
-/// A remembered execution outcome.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq)]
-pub struct HistoryRecord {
-    /// Host time observed, seconds.
-    pub cpu_s: f64,
-    /// GPU time observed, seconds.
-    pub gpu_s: f64,
-    /// How many observations were folded in.
-    pub samples: u32,
-}
-
-impl HistoryRecord {
-    /// The faster device according to the record.
-    pub fn best_device(&self) -> Device {
-        if self.cpu_s <= self.gpu_s {
-            Device::Host
-        } else {
-            Device::Gpu
-        }
-    }
-}
-
-/// Thread-safe store of observed outcomes, keyed by region and binding.
-#[derive(Debug, Default)]
-pub struct ProfileHistory {
-    records: RwLock<HashMap<String, HistoryRecord>>,
-}
-
-impl ProfileHistory {
-    /// An empty history.
-    pub fn new() -> ProfileHistory {
-        ProfileHistory::default()
-    }
-
-    /// The canonical fold, device-scoped: `device: None` updates the
-    /// kind-level pair record, `Some(label)` the record scoped to the
-    /// named fleet device (e.g. `"v100"`). Every other observe spelling
-    /// is a thin wrapper over this one. `params` is the region's
-    /// parameter list (e.g. [`Kernel::params`]); symbols in `binding`
-    /// outside it do not affect which record is updated.
-    pub fn observe_on(
-        &self,
-        region: &str,
-        params: &[String],
-        binding: &Binding,
-        device: Option<&str>,
-        measured: Measured,
-    ) {
-        let key = match device {
-            None => scoped_key(region, params, binding),
-            Some(d) => scoped_device_key(region, params, binding, d),
-        };
-        let mut map = self.records.write();
-        let e = map.entry(key).or_insert(HistoryRecord {
-            cpu_s: measured.cpu_s,
-            gpu_s: measured.gpu_s,
-            samples: 0,
-        });
-        let n = f64::from(e.samples);
-        e.cpu_s = (e.cpu_s * n + measured.cpu_s) / (n + 1.0);
-        e.gpu_s = (e.gpu_s * n + measured.gpu_s) / (n + 1.0);
-        e.samples += 1;
-    }
-
-    /// Folds a kind-level observation into the history (running average):
-    /// [`ProfileHistory::observe_on`] with no device scope.
-    pub fn observe(&self, region: &str, params: &[String], binding: &Binding, measured: Measured) {
-        self.observe_on(region, params, binding, None, measured);
-    }
-
-    /// Folds a *device-scoped* observation: [`ProfileHistory::observe_on`]
-    /// with the named fleet device. The measurement's accelerator side was
-    /// taken on that device, and only lookups naming the same device
-    /// ([`ProfileHistory::lookup_for`]) see it; kind-level records are
-    /// untouched.
-    pub fn observe_for(
-        &self,
-        region: &str,
-        params: &[String],
-        binding: &Binding,
-        device: &str,
-        measured: Measured,
-    ) {
-        self.observe_on(region, params, binding, Some(device), measured);
-    }
-
-    /// The canonical lookup, device-scoped exactly like
-    /// [`ProfileHistory::observe_on`]: `None` resolves the kind-level pair
-    /// record, `Some(label)` the device-scoped one. Hits and misses are
-    /// counted under `hetsel.core.history.lookup.{hit,miss}`.
-    pub fn lookup_on(
-        &self,
-        region: &str,
-        params: &[String],
-        binding: &Binding,
-        device: Option<&str>,
-    ) -> Option<HistoryRecord> {
-        let key = match device {
-            None => scoped_key(region, params, binding),
-            Some(d) => scoped_device_key(region, params, binding, d),
-        };
-        let found = self.records.read().get(&key).copied();
-        match found {
-            Some(_) => hetsel_obs::static_counter!("hetsel.core.history.lookup.hit").inc(),
-            None => hetsel_obs::static_counter!("hetsel.core.history.lookup.miss").inc(),
-        }
-        found
-    }
-
-    /// Looks up the kind-level record for a configuration:
-    /// [`ProfileHistory::lookup_on`] with no device scope.
-    pub fn lookup(
-        &self,
-        region: &str,
-        params: &[String],
-        binding: &Binding,
-    ) -> Option<HistoryRecord> {
-        self.lookup_on(region, params, binding, None)
-    }
-
-    /// Device-scoped counterpart of [`ProfileHistory::lookup`]:
-    /// [`ProfileHistory::lookup_on`] with the named device — only records
-    /// written under the same device label resolve.
-    pub fn lookup_for(
-        &self,
-        region: &str,
-        params: &[String],
-        binding: &Binding,
-        device: &str,
-    ) -> Option<HistoryRecord> {
-        self.lookup_on(region, params, binding, Some(device))
-    }
-
-    /// Number of distinct configurations remembered.
-    pub fn len(&self) -> usize {
-        self.records.read().len()
-    }
-
-    /// True if nothing has been observed yet.
-    pub fn is_empty(&self) -> bool {
-        self.records.read().is_empty()
-    }
-
-    /// Serialisable snapshot (persist alongside the attribute database).
-    pub fn export(&self) -> HistoryExport {
-        let map = self.records.read();
-        let mut entries: Vec<(String, HistoryRecord)> =
-            map.iter().map(|(k, v)| (k.clone(), *v)).collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        HistoryExport { entries }
-    }
-
-    /// Restores a snapshot.
-    pub fn import(export: &HistoryExport) -> ProfileHistory {
-        let h = ProfileHistory::new();
-        {
-            let mut map = h.records.write();
-            for (k, v) in &export.entries {
-                map.insert(k.clone(), *v);
-            }
-        }
-        h
-    }
-}
-
-/// Serialisable form of a [`ProfileHistory`].
-///
-/// # Export schema
-///
-/// The document is one `entries` array of `[key, record]` pairs, sorted
-/// by key. Two key families coexist in the same export:
-///
-/// * `region@{p1=v1,p2=?}` — kind-level pair records written by
-///   [`ProfileHistory::observe`]; `gpu_s` is the accelerator-kind time
-///   (the primary accelerator on an N-device fleet).
-/// * `region@{p1=v1,p2=?}::<device>` — device-scoped records written by
-///   [`ProfileHistory::observe_for`]; `gpu_s` was measured on the named
-///   fleet device (e.g. `::v100`), `cpu_s` on the host.
-///
-/// Parameter lists inside `{…}` are sorted and deduplicated, and unbound
-/// required parameters appear as `p=?`, so semantically equal
-/// configurations always share a key. Each record is
-/// `{"cpu_s": f64, "gpu_s": f64, "samples": u32}` holding running
-/// averages over `samples` observations. [`ProfileHistory::import`]
-/// restores both families losslessly; `import(export()).export()` is
-/// byte-identical (see the `device_scoped_records_roundtrip_through_export`
-/// test).
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
-pub struct HistoryExport {
-    /// `(key, record)` pairs in key order.
-    pub entries: Vec<(String, HistoryRecord)>,
-}
-
-/// A selector that layers profile feedback over the analytical models —
-/// since the calibration redesign, a thin harness over the shared
-/// [`Calibrator`]: measurements feed per-`(region, device, binding-class)`
-/// corrections, and [`AdaptiveSelector::select`] is simply the calibrated
-/// [`Selector::decide`]. The old private history-beats-model heuristic is
-/// gone; what replaced it generalises it (the greedy calibration profile
-/// trusts a single observation fully, so one measurement still corrects a
-/// misprediction) while keeping every decision on the one decision path —
-/// explainable, cacheable, and observable like any other.
+/// A selector that layers profile feedback over the analytical models: a
+/// thin harness over the shared [`Calibrator`]. Measurements feed
+/// per-`(region, device, binding-class)` corrections, and
+/// [`AdaptiveSelector::select`] is simply the calibrated
+/// [`Selector::decide`]. The greedy calibration profile trusts a single
+/// observation fully, so one measurement corrects a misprediction, while
+/// every decision stays on the one decision path — explainable, cacheable,
+/// and observable like any other. Persist what was learned with
+/// [`Calibrator::snapshot`] and restore it with [`Calibrator::absorb`].
 #[derive(Debug)]
 pub struct AdaptiveSelector {
     /// The underlying selector, in Active calibration mode with the
     /// greedy profile ([`CalibratorConfig::greedy`]).
     pub selector: Selector,
-    /// Observed outcomes, kept as the exportable record of what was
-    /// measured (the calibrator holds the derived corrections; see
-    /// [`Calibrator::snapshot`] / [`Calibrator::absorb`] for persisting
-    /// those directly).
-    pub history: ProfileHistory,
 }
 
 impl AdaptiveSelector {
-    /// Wraps a selector with an empty history and a fresh greedy
-    /// calibrator in Active mode (replacing whatever calibration the
-    /// selector carried): no sample gate, no clamp — after one measured
-    /// run the corrected prediction *is* the observation.
+    /// Wraps a selector with a fresh greedy calibrator in Active mode
+    /// (replacing whatever calibration the selector carried): no sample
+    /// gate, no clamp — after one measured run the corrected prediction
+    /// *is* the observation.
     pub fn new(selector: Selector) -> AdaptiveSelector {
         AdaptiveSelector {
             selector: selector
                 .with_calibration(CalibrationMode::Active)
                 .with_calibrator(Arc::new(Calibrator::new(CalibratorConfig::greedy()))),
-            history: ProfileHistory::new(),
         }
     }
 
@@ -291,11 +54,10 @@ impl AdaptiveSelector {
     /// Executes (simulates) under the current decision and feeds the
     /// outcome back; returns the decision and what it cost.
     ///
-    /// Three sinks learn from every measurement: the [`ProfileHistory`]
-    /// folds the raw outcome, the shared [`Calibrator`] folds one
-    /// raw-prediction-vs-observed sample per device side the decision's
-    /// [`CalibrationTag`](crate::CalibrationTag) carries (this is what
-    /// future [`AdaptiveSelector::select`] calls decide on), and the
+    /// Two sinks learn from every measurement: the shared [`Calibrator`]
+    /// folds one raw-prediction-vs-observed sample per device side the
+    /// decision's [`CalibrationTag`](crate::CalibrationTag) carries (this
+    /// is what future [`AdaptiveSelector::select`] calls decide on), and the
     /// process-wide accuracy observatory ([`hetsel_obs::accuracy()`])
     /// scores prediction quality, with the misprediction flip (decided
     /// side ≠ measured-fastest side) charged to the side the decision
@@ -303,8 +65,6 @@ impl AdaptiveSelector {
     pub fn run_and_learn(&self, kernel: &Kernel, binding: &Binding) -> Option<(Decision, f64)> {
         let d = self.select(kernel, binding);
         let m = self.selector.measure(kernel, binding)?;
-        self.history
-            .observe(&kernel.name, &kernel.params(), binding, m);
         if let Some(tag) = d.calibration {
             let cal = self.selector.calibrator();
             let fleet = self.selector.fleet();
@@ -361,211 +121,6 @@ mod tests {
     use super::*;
     use crate::platform::Platform;
     use hetsel_polybench::{find_kernel, Dataset};
-
-    fn params(names: &[&str]) -> Vec<String> {
-        names.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn observe_and_lookup_roundtrip() {
-        let h = ProfileHistory::new();
-        let p = params(&["n"]);
-        let b = Binding::new().with("n", 100);
-        assert!(h.lookup("k", &p, &b).is_none());
-        h.observe(
-            "k",
-            &p,
-            &b,
-            Measured {
-                cpu_s: 2.0,
-                gpu_s: 1.0,
-            },
-        );
-        let r = h.lookup("k", &p, &b).unwrap();
-        assert_eq!(r.best_device(), Device::Gpu);
-        assert_eq!(r.samples, 1);
-        // Different binding: separate record.
-        assert!(h.lookup("k", &p, &Binding::new().with("n", 200)).is_none());
-    }
-
-    /// The key-normalisation fix: bindings that agree on every parameter the
-    /// region reads must hit the same record, no matter what irrelevant
-    /// symbols the surrounding program bound, in what order the parameter
-    /// list arrives, or whether it carries duplicates.
-    #[test]
-    fn semantically_equal_bindings_share_a_record() {
-        let h = ProfileHistory::new();
-        let m = Measured {
-            cpu_s: 1.0,
-            gpu_s: 2.0,
-        };
-        let clean = Binding::new().with("n", 64).with("m", 8);
-        h.observe("k", &params(&["n", "m"]), &clean, m);
-
-        // Same configuration, binding padded with unrelated symbols.
-        let padded = clean
-            .clone()
-            .with("other_region_extent", 4096)
-            .with("zz", 1);
-        let r = h
-            .lookup("k", &params(&["n", "m"]), &padded)
-            .expect("padded binding must hit");
-        assert_eq!(r.samples, 1);
-
-        // Parameter list order and duplicates are immaterial.
-        assert!(h.lookup("k", &params(&["m", "n", "n"]), &clean).is_some());
-
-        // A padded *observation* folds into the same record too.
-        h.observe("k", &params(&["m", "n"]), &padded, m);
-        assert_eq!(h.len(), 1);
-        assert_eq!(
-            h.lookup("k", &params(&["n", "m"]), &clean).unwrap().samples,
-            2
-        );
-
-        // But changing a *relevant* value still separates records.
-        let other = clean.clone().with("n", 65);
-        assert!(h.lookup("k", &params(&["n", "m"]), &other).is_none());
-    }
-
-    #[test]
-    fn lookup_hits_and_misses_are_counted() {
-        let h = ProfileHistory::new();
-        let p = params(&["n"]);
-        let b = Binding::new().with("n", 7);
-        let registry = hetsel_obs::registry();
-        let hits = registry.counter("hetsel.core.history.lookup.hit");
-        let misses = registry.counter("hetsel.core.history.lookup.miss");
-        let (h0, m0) = (hits.get(), misses.get());
-        h.lookup("k", &p, &b);
-        h.observe(
-            "k",
-            &p,
-            &b,
-            Measured {
-                cpu_s: 1.0,
-                gpu_s: 2.0,
-            },
-        );
-        h.lookup("k", &p, &b);
-        assert!(hits.get() > h0, "hit counted");
-        assert!(misses.get() > m0, "miss counted");
-    }
-
-    #[test]
-    fn observations_average() {
-        let h = ProfileHistory::new();
-        let p = params(&["n"]);
-        let b = Binding::new().with("n", 1);
-        h.observe(
-            "k",
-            &p,
-            &b,
-            Measured {
-                cpu_s: 1.0,
-                gpu_s: 3.0,
-            },
-        );
-        h.observe(
-            "k",
-            &p,
-            &b,
-            Measured {
-                cpu_s: 3.0,
-                gpu_s: 1.0,
-            },
-        );
-        let r = h.lookup("k", &p, &b).unwrap();
-        assert_eq!(r.samples, 2);
-        assert!((r.cpu_s - 2.0).abs() < 1e-12);
-        assert!((r.gpu_s - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn export_import_roundtrip() {
-        let h = ProfileHistory::new();
-        h.observe(
-            "a",
-            &params(&["n"]),
-            &Binding::new().with("n", 5),
-            Measured {
-                cpu_s: 1.0,
-                gpu_s: 2.0,
-            },
-        );
-        h.observe(
-            "b",
-            &params(&["m"]),
-            &Binding::new().with("m", 7),
-            Measured {
-                cpu_s: 4.0,
-                gpu_s: 3.0,
-            },
-        );
-        let json = serde_json::to_string(&h.export()).unwrap();
-        let back = ProfileHistory::import(&serde_json::from_str(&json).unwrap());
-        assert_eq!(back.len(), 2);
-        assert_eq!(
-            back.lookup("a", &params(&["n"]), &Binding::new().with("n", 5))
-                .unwrap()
-                .gpu_s,
-            2.0
-        );
-    }
-
-    #[test]
-    fn device_scoped_records_roundtrip_through_export() {
-        let h = ProfileHistory::new();
-        let p = params(&["n"]);
-        let b = Binding::new().with("n", 9);
-        h.observe(
-            "k",
-            &p,
-            &b,
-            Measured {
-                cpu_s: 2.0,
-                gpu_s: 1.0,
-            },
-        );
-        h.observe_for(
-            "k",
-            &p,
-            &b,
-            "v100",
-            Measured {
-                cpu_s: 2.0,
-                gpu_s: 0.5,
-            },
-        );
-        h.observe_for(
-            "k",
-            &p,
-            &b,
-            "k80",
-            Measured {
-                cpu_s: 2.0,
-                gpu_s: 4.0,
-            },
-        );
-        assert_eq!(h.len(), 3, "kind-level and device-scoped records coexist");
-        // Device scoping separates records and lookups.
-        assert_eq!(
-            h.lookup_for("k", &p, &b, "v100").unwrap().best_device(),
-            Device::Gpu
-        );
-        assert_eq!(
-            h.lookup_for("k", &p, &b, "k80").unwrap().best_device(),
-            Device::Host
-        );
-        assert!(h.lookup_for("k", &p, &b, "p100").is_none());
-        // The kind-level record is untouched by device-scoped observations.
-        assert_eq!(h.lookup("k", &p, &b).unwrap().gpu_s, 1.0);
-        // Both key families survive an export/import cycle losslessly.
-        let json = serde_json::to_string(&h.export()).unwrap();
-        let back = ProfileHistory::import(&serde_json::from_str(&json).unwrap());
-        assert_eq!(back.export(), h.export(), "export round-trips");
-        assert_eq!(back.lookup_for("k", &p, &b, "k80").unwrap().gpu_s, 4.0);
-    }
 
     #[test]
     fn run_and_learn_feeds_the_accuracy_observatory() {

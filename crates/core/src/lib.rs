@@ -43,7 +43,7 @@ pub use explain::{
     DispatchTerms, ExplainReport, Explanation, GpuTerms, PhaseTimings,
 };
 pub use fleet::{AcceleratorDevice, DeviceId, DeviceKind, Fleet};
-pub use history::{AdaptiveSelector, HistoryExport, HistoryRecord, ProfileHistory};
+pub use history::AdaptiveSelector;
 pub use platform::Platform;
 pub use program::{plan_program, ProgramPlan};
 pub use selector::{

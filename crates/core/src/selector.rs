@@ -823,7 +823,10 @@ impl Selector {
         )
     }
 
-    /// Runs the timing simulators for both targets ("measures" the region).
+    /// Runs the timing simulators for both targets ("measures" the region):
+    /// the host, and the *primary* accelerator's own descriptor (the
+    /// platform's accelerator when the fleet is host-only), the same
+    /// accelerator whose model [`Selector::cost_models`] pairs with.
     pub fn measure(&self, kernel: &Kernel, binding: &Binding) -> Option<Measured> {
         let cpu = hetsel_cpusim::simulate(
             kernel,
@@ -831,7 +834,12 @@ impl Selector {
             &self.platform.cpu,
             self.platform.host_threads,
         )?;
-        let gpu = hetsel_gpusim::simulate(kernel, binding, &self.platform.gpu)?;
+        let gpu_descriptor = self
+            .fleet
+            .accelerators()
+            .first()
+            .map_or(&self.platform.gpu, |a| &a.descriptor);
+        let gpu = hetsel_gpusim::simulate(kernel, binding, gpu_descriptor)?;
         Some(Measured {
             cpu_s: cpu.total_s(),
             gpu_s: gpu.total_s(),
@@ -2252,6 +2260,33 @@ mod tests {
         assert!(e.achieved_s() >= e.oracle_s());
         let m = e.measured;
         assert_eq!(m.on(m.best_device()), m.cpu_s.min(m.gpu_s));
+    }
+
+    /// `measure` simulates the accelerator the fleet registers, not the
+    /// platform's: under the V100 platform with a host + K80 fleet, the
+    /// accelerator side is the K80's simulated time. A host-only fleet
+    /// falls back to the platform's accelerator.
+    #[test]
+    fn measure_simulates_the_fleets_primary_accelerator() {
+        let (k, binding) = find_kernel("gemm").unwrap();
+        let b = binding(Dataset::Test);
+        let k80 = Platform::power8_k80();
+        let on_k80 = selector()
+            .with_fleet(Fleet::host_only().with_accelerator_from("k80", &k80))
+            .measure(&k, &b)
+            .unwrap();
+        let k80_s = hetsel_gpusim::simulate(&k, &b, &k80.gpu).unwrap().total_s();
+        assert_eq!(on_k80.gpu_s.to_bits(), k80_s.to_bits());
+
+        let v100_s = hetsel_gpusim::simulate(&k, &b, &Platform::power9_v100().gpu)
+            .unwrap()
+            .total_s();
+        assert_ne!(k80_s, v100_s);
+        let host_only = selector()
+            .with_fleet(Fleet::host_only())
+            .measure(&k, &b)
+            .unwrap();
+        assert_eq!(host_only.gpu_s.to_bits(), v100_s.to_bits());
     }
 
     #[test]

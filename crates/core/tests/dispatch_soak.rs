@@ -62,7 +62,7 @@ fn faulty(seed: u64, p: f64) -> Dispatcher {
     Dispatcher::new(
         engine(),
         DispatcherConfig::default()
-            .with_gpu_faults(FaultPlan::transient(seed, p).with_jitter(1e-4))
+            .with_device_faults("gpu", FaultPlan::transient(seed, p).with_jitter(1e-4))
             .with_breaker(BreakerConfig {
                 failure_threshold: 3,
                 open_backoff: 8,
@@ -154,7 +154,7 @@ fn stress_fault_breaker_transitions_are_deterministic() {
         let dispatcher = Dispatcher::new(
             engine(),
             DispatcherConfig::default()
-                .with_gpu_faults(FaultPlan::permanent(99, 1.0))
+                .with_device_faults("gpu", FaultPlan::permanent(99, 1.0))
                 .with_breaker(BreakerConfig {
                     failure_threshold: 2,
                     open_backoff: 4,

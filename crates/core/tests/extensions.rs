@@ -1,12 +1,12 @@
 //! Integration tests for the framework extensions working together:
-//! profile history layered over split/program planning, and the x86
+//! profile feedback layered over split/program planning, and the x86
 //! platform driving the full stack.
 
 use std::sync::Arc;
 
 use hetsel_core::{
     best_split, plan_program, AdaptiveSelector, CalibRow, CalibrationMode, Calibrator,
-    CalibratorConfig, Device, Platform, ProfileHistory, Selector,
+    CalibratorConfig, Device, Platform, Selector,
 };
 use hetsel_ir::Binding;
 use hetsel_polybench::{find_kernel, suite, Dataset};
@@ -24,13 +24,11 @@ fn calibration_survives_serialisation_and_still_decides() {
         "learned corrections flip the conv decision in-process"
     );
 
-    // Persist both learning sinks: the raw outcome history and the derived
-    // calibration corrections. Restore into a fresh process-equivalent
-    // selector and decide again from the restored corrections alone.
-    let history_json = serde_json::to_string(&adaptive.history.export()).unwrap();
+    // Persist the learned calibration corrections, restore them into a
+    // fresh process-equivalent selector and decide again from the restored
+    // corrections alone.
     let calib_json = serde_json::to_string(&adaptive.selector.calibrator().snapshot()).unwrap();
 
-    let restored_history = ProfileHistory::import(&serde_json::from_str(&history_json).unwrap());
     let rows: Vec<CalibRow> = serde_json::from_str(&calib_json).unwrap();
     let restored_cal = Calibrator::new(CalibratorConfig::greedy());
     restored_cal.absorb(&rows);
@@ -38,7 +36,6 @@ fn calibration_survives_serialisation_and_still_decides() {
         selector: Selector::new(platform)
             .with_calibration(CalibrationMode::Active)
             .with_calibrator(Arc::new(restored_cal)),
-        history: restored_history,
     };
     let d = adaptive2.select(&kernel, &b);
     assert_eq!(

@@ -73,8 +73,6 @@ pub fn analyze_cached(kernel: &Kernel) -> Arc<KernelAccessInfo> {
     // the results are equal and only one lands in the table.
     let info = {
         let _timer = hetsel_obs::static_histogram!("hetsel.ipda.analyze.ns").start_timer();
-        let mut span = hetsel_obs::span("hetsel.ipda.analyze");
-        span.record("kernel", kernel.name.as_str());
         Arc::new(analyze(kernel))
     };
     let mut map = memo

@@ -150,12 +150,6 @@ pub fn compile_parallel_iter_cycles(
     carry: bool,
 ) -> CompiledCycles {
     let _timer = hetsel_obs::static_histogram!("hetsel.mca.compile.cycles.ns").start_timer();
-    let _span = hetsel_obs::span_with("hetsel.mca.compile.cycles", || {
-        vec![
-            hetsel_obs::trace::field("kernel", kernel.name.as_str()),
-            hetsel_obs::trace::field("carry", carry),
-        ]
-    });
     let body = kernel.parallel_body();
     if body.iter().all(|s| matches!(s, Stmt::Assign(_))) {
         let assigns: Vec<&Assign> = body
@@ -311,9 +305,6 @@ impl CompiledLoadout {
 /// happens now, [`CompiledLoadout::evaluate`] is pure arithmetic.
 pub fn compile_loadout(kernel: &Kernel) -> CompiledLoadout {
     let _timer = hetsel_obs::static_histogram!("hetsel.mca.compile.loadout.ns").start_timer();
-    let _span = hetsel_obs::span_with("hetsel.mca.compile.loadout", || {
-        vec![hetsel_obs::trace::field("kernel", kernel.name.as_str())]
-    });
     compile_counts(kernel.parallel_body())
 }
 

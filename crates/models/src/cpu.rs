@@ -203,9 +203,6 @@ pub fn compile(
     mode: TripMode,
 ) -> CompiledCpuModel {
     let _timer = hetsel_obs::static_histogram!("hetsel.models.cpu.compile.ns").start_timer();
-    let _span = hetsel_obs::span_with("hetsel.models.cpu.compile", || {
-        vec![hetsel_obs::trace::field("kernel", kernel.name.as_str())]
-    });
     let info = analyze_cached(kernel);
     let mut symbols = SymbolTable::new();
     let facts = CompiledKernel::compile(kernel, &mut symbols);
@@ -309,12 +306,6 @@ impl CompiledCpuModel {
     /// arithmetic — bit for bit — of the one-shot [`predict`].
     pub fn evaluate(&self, binding: &Binding) -> Result<CpuPrediction, ModelError> {
         let _timer = hetsel_obs::static_histogram!("hetsel.models.cpu.evaluate.ns").start_timer();
-        let _span = hetsel_obs::span_with("hetsel.models.cpu.evaluate", || {
-            vec![hetsel_obs::trace::field(
-                "kernel",
-                self.kernel.name.as_str(),
-            )]
-        });
         let params = &self.params;
         let threads = self.threads;
         // Resolve every parameter to its dense slot once; everything below

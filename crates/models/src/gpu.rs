@@ -203,9 +203,6 @@ pub fn compile(
     coal_mode: CoalescingMode,
 ) -> CompiledGpuModel {
     let _timer = hetsel_obs::static_histogram!("hetsel.models.gpu.compile.ns").start_timer();
-    let _span = hetsel_obs::span_with("hetsel.models.gpu.compile", || {
-        vec![hetsel_obs::trace::field("kernel", kernel.name.as_str())]
-    });
     let info = analyze_cached(kernel);
     let mut symbols = SymbolTable::new();
     let facts = CompiledKernel::compile(kernel, &mut symbols);
@@ -284,12 +281,6 @@ impl CompiledGpuModel {
     /// for bit — of the one-shot [`predict`].
     pub fn evaluate(&self, binding: &Binding) -> Result<GpuPrediction, ModelError> {
         let _timer = hetsel_obs::static_histogram!("hetsel.models.gpu.evaluate.ns").start_timer();
-        let _span = hetsel_obs::span_with("hetsel.models.gpu.evaluate", || {
-            vec![hetsel_obs::trace::field(
-                "kernel",
-                self.kernel.name.as_str(),
-            )]
-        });
         let params = &self.params;
         let dev = &params.device;
         // Resolve every parameter to its dense slot once; everything below

@@ -2,18 +2,14 @@
 //!
 //! The paper's selling point is that the dispatch decision is cheap enough
 //! to take at every region launch; this crate makes every such decision
-//! *observable* without giving that cheapness back. Five independent layers:
+//! *observable* without giving that cheapness back. Four independent layers:
 //!
-//! * [`trace`] — a dependency-free structured tracing facade: named spans
-//!   with typed key/value fields, dispatched to a pluggable process-wide
-//!   [`Subscriber`] (null, stderr pretty-printer, bounded in-memory ring
-//!   buffer, JSONL writer). When no subscriber is installed a span is one
-//!   relaxed atomic load — cold paths annotate freely, hot paths stay hot.
 //! * [`metrics`] — a process-wide registry of named [`Counter`]s,
 //!   [`Gauge`]s and log-scale latency [`Histogram`]s (p50/p95/p99).
 //!   Counters and gauges are always live (one relaxed RMW each); duration
 //!   timers are gated behind [`metrics::set_timing`] so the instrumented
 //!   cache-hit decision path never pays for a clock read it did not ask for.
+//!   Their `*.ns` histograms are the one in-process timing mechanism.
 //! * [`flight`] — the decision flight recorder: a fixed-capacity,
 //!   lock-free ring of structured [`DecisionEvent`]s (verdicts, dispatch
 //!   completions, fallbacks, breaker transitions), gated behind
@@ -35,7 +31,6 @@ pub mod accuracy;
 pub mod export;
 pub mod flight;
 pub mod metrics;
-pub mod trace;
 
 pub use accuracy::{accuracy, AccuracyObservatory, AccuracyRow};
 pub use export::{
@@ -50,14 +45,9 @@ pub use metrics::{
     registry, shard_metric_name, Counter, Gauge, HistTimer, Histogram, HistogramSummary,
     MetricsSnapshot, Registry,
 };
-pub use trace::{
-    set_subscriber, span, span_with, subscriber_installed, tracing_enabled, Field, FieldValue,
-    JsonlSubscriber, NullSubscriber, RingBufferSubscriber, SpanGuard, SpanRecord, StderrSubscriber,
-    Subscriber,
-};
 
-/// Escapes a string for inclusion in a JSON document (used by both the
-/// JSONL subscriber and the metrics snapshot renderer).
+/// Escapes a string for inclusion in a JSON document (used by the
+/// snapshot, flight-recorder and accuracy renderers).
 pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {

@@ -1,21 +1,10 @@
-//! Integration tests for the tracing facade and metrics registry: the
-//! concurrency and global-state behaviour unit tests cannot cover.
+//! Integration tests for the metrics registry: the concurrency behaviour
+//! unit tests cannot cover.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::thread;
 
-use hetsel_obs::{
-    registry, set_subscriber, span, span_with, trace::field, tracing_enabled, JsonlSubscriber,
-    NullSubscriber, RingBufferSubscriber,
-};
-
-/// The subscriber slot is process-global; tests that install one must not
-/// interleave. (Cargo runs tests in this binary on multiple threads.)
-fn subscriber_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use hetsel_obs::registry;
 
 #[test]
 fn counters_are_exact_under_thread_fanout() {
@@ -62,113 +51,4 @@ fn histogram_is_consistent_under_thread_fanout() {
     // appears exactly once across the four threads.
     assert_eq!(s.sum, (0..20_000u64).sum::<u64>());
     assert!(s.p50 <= s.p95 && s.p95 <= s.p99 && s.p99 <= s.max);
-}
-
-#[test]
-fn ring_buffer_truncates_to_capacity() {
-    let _guard = subscriber_lock();
-    let ring = Arc::new(RingBufferSubscriber::new(4));
-    set_subscriber(Some(ring.clone()));
-    assert!(tracing_enabled());
-    for i in 0..10u64 {
-        let mut g = span("hetsel.test.ring");
-        g.record("i", i);
-    }
-    set_subscriber(None);
-    let spans = ring.snapshot();
-    assert_eq!(spans.len(), 4, "ring kept only the newest spans");
-    // Oldest-first order, holding the last four emissions (6..=9).
-    for (slot, span) in spans.iter().enumerate() {
-        assert_eq!(span.name, "hetsel.test.ring");
-        assert_eq!(span.fields[0].value, field("i", 6 + slot as u64).value);
-    }
-    ring.clear();
-    assert!(ring.is_empty());
-}
-
-#[test]
-fn ring_buffer_drain_vs_snapshot_under_concurrent_emitters() {
-    let _guard = subscriber_lock();
-    let ring = Arc::new(RingBufferSubscriber::new(1 << 14));
-    set_subscriber(Some(ring.clone()));
-    let emitters = 4;
-    let per_thread = 2_000u64;
-    let handles: Vec<_> = (0..emitters)
-        .map(|_| {
-            thread::spawn(move || {
-                for i in 0..per_thread {
-                    let mut g = span("hetsel.test.drain");
-                    g.record("i", i);
-                }
-            })
-        })
-        .collect();
-    // Drain concurrently with the emitters: snapshot() must never consume,
-    // drain() must hand each span to exactly one caller.
-    let mut drained = Vec::new();
-    while handles.iter().any(|h| !h.is_finished()) {
-        let peek = ring.snapshot();
-        let taken = ring.drain();
-        assert!(
-            taken.len() >= peek.len(),
-            "drain lost spans a snapshot had already observed"
-        );
-        drained.extend(taken);
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    set_subscriber(None);
-    drained.extend(ring.drain());
-    assert_eq!(
-        drained.len() as u64,
-        emitters as u64 * per_thread,
-        "every span drained exactly once (capacity was never exceeded)"
-    );
-    assert!(ring.is_empty() && ring.snapshot().is_empty());
-    assert!(drained.iter().all(|s| s.name == "hetsel.test.drain"));
-}
-
-#[test]
-fn null_subscriber_keeps_facade_disabled() {
-    let _guard = subscriber_lock();
-    set_subscriber(Some(Arc::new(NullSubscriber)));
-    assert!(
-        !tracing_enabled(),
-        "null subscriber must not enable tracing"
-    );
-    let mut closure_ran = false;
-    drop(span_with("hetsel.test.null", || {
-        closure_ran = true;
-        vec![]
-    }));
-    assert!(!closure_ran, "field closure must not run while disabled");
-    set_subscriber(None);
-}
-
-#[test]
-fn jsonl_subscriber_emits_parseable_lines() {
-    let _guard = subscriber_lock();
-    let shared = Arc::new(JsonlSubscriber::new(Vec::<u8>::new()));
-    set_subscriber(Some(shared.clone()));
-    {
-        let mut outer = span("hetsel.test.outer");
-        outer.record("region", "gemm");
-        let _inner = span("hetsel.test.inner");
-    }
-    set_subscriber(None);
-    let bytes = Arc::into_inner(shared).unwrap().into_inner();
-    let text = String::from_utf8(bytes).unwrap();
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 2);
-    // Spans close inner-first; depth reflects nesting.
-    assert!(lines[0].contains("\"span\":\"hetsel.test.inner\""));
-    assert!(lines[0].contains("\"depth\":1"));
-    assert!(lines[1].contains("\"span\":\"hetsel.test.outer\""));
-    assert!(lines[1].contains("\"depth\":0"));
-    assert!(lines[1].contains("\"region\":\"gemm\""));
-    for l in &lines {
-        assert!(l.starts_with('{') && l.ends_with('}'));
-        assert!(l.contains("\"duration_ns\":"));
-    }
 }

@@ -21,10 +21,10 @@ fn main() {
     for launch in 1..=3 {
         let (decision, cost) = adaptive.run_and_learn(&kernel, &b).unwrap();
         println!(
-            "launch {launch}: chose {:<5} cost {:.2} ms   (history holds {} configs)",
+            "launch {launch}: chose {:<5} cost {:.2} ms   (calibrator holds {} cells)",
             format!("{}", decision.device),
             cost * 1e3,
-            adaptive.history.len()
+            adaptive.selector.calibrator().len()
         );
     }
     println!(

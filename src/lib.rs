@@ -15,8 +15,8 @@
 //!   POWER8/POWER9 hosts and K80/V100 accelerators;
 //! * [`models`] — the Liao/Chapman CPU cost model and the Hong–Kim GPU
 //!   MWP/CWP model (with the paper's `#OMP_Rep` extension);
-//! * [`obs`] — dependency-free structured tracing and a process-wide
-//!   metrics registry instrumenting the whole decision pipeline;
+//! * [`obs`] — a dependency-free metrics registry, flight recorder and
+//!   accuracy observatory instrumenting the whole decision pipeline;
 //! * [`core`] — the program attribute database and the runtime selector.
 //!
 //! ## Quickstart

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use hetsel::core::{
     AcceleratorDevice, BreakerConfig, DeviceHealthSnapshot, DevicePrediction, DispatchTerms,
-    HistoryRecord, Measured, ProfileHistory, RegionAttributes, RetryConfig,
+    RegionAttributes, RetryConfig,
 };
 use hetsel::models::GpuModelParams;
 use hetsel::prelude::*;
@@ -88,16 +88,6 @@ fn the_request_api_surface_is_stable() {
     );
     pin!(fn(&Selector) -> CalibrationMode, Selector::calibration);
     pin!(fn(&Selector) -> &Arc<Calibrator>, Selector::calibrator);
-
-    // --- ProfileHistory: the two canonical device-scoped entry points ---
-    pin!(
-        fn(&ProfileHistory, &str, &[String], &Binding, Option<&str>, Measured),
-        ProfileHistory::observe_on
-    );
-    pin!(
-        fn(&ProfileHistory, &str, &[String], &Binding, Option<&str>) -> Option<HistoryRecord>,
-        ProfileHistory::lookup_on
-    );
 
     // --- Fleet: the N-device generalization -----------------------------
     pin!(fn() -> Fleet, Fleet::host_only);
@@ -203,14 +193,6 @@ fn the_request_api_surface_is_stable() {
     );
 
     // --- DispatcherConfig builders --------------------------------------
-    pin!(
-        fn(DispatcherConfig, FaultPlan) -> DispatcherConfig,
-        DispatcherConfig::with_gpu_faults
-    );
-    pin!(
-        fn(DispatcherConfig, FaultPlan) -> DispatcherConfig,
-        DispatcherConfig::with_cpu_faults
-    );
     pin!(
         fn(DispatcherConfig, &str, FaultPlan) -> DispatcherConfig,
         DispatcherConfig::with_device_faults

@@ -10,6 +10,7 @@
 //! cold-start property of the paper's approach is preserved bit for bit.
 
 use crate::calib::{CalibrationMode, Calibrator, CalibratorConfig};
+use crate::fleet::DeviceId;
 use crate::selector::{Decision, Device, Selector};
 use hetsel_ir::{Binding, Kernel};
 use std::sync::Arc;
@@ -52,7 +53,16 @@ impl AdaptiveSelector {
     }
 
     /// Executes (simulates) under the current decision and feeds the
-    /// outcome back; returns the decision and what it cost.
+    /// outcome back; returns the decision and what it cost on the device
+    /// it chose.
+    ///
+    /// Each raw prediction is scored against the device it was made for.
+    /// The host's is measured on the host. The decision's accelerator-side
+    /// evidence belongs to its representative accelerator: the chosen one
+    /// when the decision offloads; on a one-accelerator fleet, that
+    /// accelerator whatever the verdict. A host verdict on a larger fleet
+    /// does not say which accelerator it beat, so that side is neither
+    /// measured nor learned.
     ///
     /// Two sinks learn from every measurement: the shared [`Calibrator`]
     /// folds one raw-prediction-vs-observed sample per device side the
@@ -64,55 +74,60 @@ impl AdaptiveSelector {
     /// chose.
     pub fn run_and_learn(&self, kernel: &Kernel, binding: &Binding) -> Option<(Decision, f64)> {
         let d = self.select(kernel, binding);
-        let m = self.selector.measure(kernel, binding)?;
+        let fleet = self.selector.fleet();
+        let accel = if d.device_id.is_host() {
+            fleet
+                .primary_accelerator()
+                .filter(|_| fleet.accelerator_count() == 1)
+        } else {
+            Some(d.device_id)
+        };
+        let host = fleet.host_label_arc();
+        let cpu_s = self.selector.simulate_on(kernel, binding, DeviceId::HOST)?;
+        let accel = match accel {
+            Some(id) => Some((
+                fleet.label_arc(id)?,
+                self.selector.simulate_on(kernel, binding, id)?,
+            )),
+            None => None,
+        };
         if let Some(tag) = d.calibration {
             let cal = self.selector.calibrator();
-            let fleet = self.selector.fleet();
             if let Some(raw) = tag.raw_cpu_s {
-                cal.observe(
-                    &kernel.name,
-                    fleet.host_label_arc(),
-                    tag.class,
-                    raw,
-                    m.cpu_s,
-                );
+                cal.observe(&kernel.name, host, tag.class, raw, cpu_s);
             }
-            if let (Some(raw), Some(id)) = (tag.raw_gpu_s, fleet.primary_accelerator()) {
-                cal.observe(
-                    &kernel.name,
-                    fleet.label_arc(id).expect("primary id resolves"),
-                    tag.class,
-                    raw,
-                    m.gpu_s,
-                );
+            if let (Some(raw), Some((label, accel_s))) = (tag.raw_gpu_s, accel) {
+                cal.observe(&kernel.name, label, tag.class, raw, accel_s);
             }
         }
-        let observed_best = if m.cpu_s <= m.gpu_s {
-            Device::Host
-        } else {
-            Device::Gpu
+        let observed_best = match accel {
+            Some((_, accel_s)) if accel_s < cpu_s => Device::Gpu,
+            _ => Device::Host,
         };
         let flip = d.device != observed_best;
-        let fleet = self.selector.fleet();
         if let Some(p) = d.predicted_cpu_s {
             hetsel_obs::accuracy().observe(
                 &kernel.name,
-                fleet.host_label_arc(),
+                host,
                 p,
-                m.cpu_s,
+                cpu_s,
                 flip && d.device == Device::Host,
             );
         }
-        if let (Some(p), Some(id)) = (d.predicted_gpu_s, fleet.primary_accelerator()) {
+        if let (Some(p), Some((label, accel_s))) = (d.predicted_gpu_s, accel) {
             hetsel_obs::accuracy().observe(
                 &kernel.name,
-                fleet.label_arc(id).expect("primary id resolves"),
+                label,
                 p,
-                m.gpu_s,
+                accel_s,
                 flip && d.device == Device::Gpu,
             );
         }
-        Some((d.clone(), m.on(d.device)))
+        let cost = match (d.device, accel) {
+            (Device::Gpu, Some((_, accel_s))) => accel_s,
+            _ => cpu_s,
+        };
+        Some((d, cost))
     }
 }
 
@@ -133,6 +148,41 @@ mod tests {
         assert!(host.samples >= 1);
         let accel = obs.lookup("gemm", "gpu").expect("accelerator side scored");
         assert!(accel.samples >= 1);
+    }
+
+    /// On a fleet of two accelerators whose primary (the K80) is not the
+    /// one chosen, the chosen V100 is measured, learns, and is what the
+    /// run cost; the K80 learns nothing from the V100's prediction.
+    #[test]
+    fn run_and_learn_scores_the_accelerator_the_decision_chose() {
+        let (kernel, binding) = find_kernel("gemm").unwrap();
+        let b = binding(Dataset::Test);
+        let v100 = Platform::power9_v100();
+        let fleet = crate::Fleet::host_only()
+            .with_accelerator_from("k80", &Platform::power8_k80())
+            .with_accelerator_from("v100", &v100);
+        let adaptive = AdaptiveSelector::new(Selector::new(v100.clone()).with_fleet(fleet));
+        let (decision, cost) = adaptive.run_and_learn(&kernel, &b).unwrap();
+        assert_eq!(&*decision.device_name, "v100");
+        let v100_s = hetsel_gpusim::simulate(&kernel, &b, &v100.gpu)
+            .unwrap()
+            .total_s();
+        assert_eq!(
+            cost.to_bits(),
+            v100_s.to_bits(),
+            "the run cost the V100's time"
+        );
+
+        let rows = adaptive.selector.calibrator().snapshot();
+        let devices: Vec<&str> = rows.iter().map(|r| r.device.as_str()).collect();
+        assert_eq!(devices, ["host", "v100"], "no k80 cell: {rows:?}");
+        let raw = decision.calibration.unwrap().raw_gpu_s.unwrap();
+        let learned = rows[1].factor;
+        assert!(
+            (learned - v100_s / raw).abs() <= 1e-9 * learned,
+            "the v100 cell holds the V100's own ratio: {learned} vs {}",
+            v100_s / raw
+        );
     }
 
     /// One observation corrects the paper's convolution misprediction: the

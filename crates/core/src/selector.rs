@@ -828,22 +828,34 @@ impl Selector {
     /// platform's accelerator when the fleet is host-only), the same
     /// accelerator whose model [`Selector::cost_models`] pairs with.
     pub fn measure(&self, kernel: &Kernel, binding: &Binding) -> Option<Measured> {
-        let cpu = hetsel_cpusim::simulate(
-            kernel,
-            binding,
-            &self.platform.cpu,
-            self.platform.host_threads,
-        )?;
-        let gpu_descriptor = self
-            .fleet
-            .accelerators()
-            .first()
-            .map_or(&self.platform.gpu, |a| &a.descriptor);
-        let gpu = hetsel_gpusim::simulate(kernel, binding, gpu_descriptor)?;
-        Some(Measured {
-            cpu_s: cpu.total_s(),
-            gpu_s: gpu.total_s(),
-        })
+        let cpu_s = self.simulate_on(kernel, binding, DeviceId::HOST)?;
+        let gpu_s = match self.fleet.primary_accelerator() {
+            Some(id) => self.simulate_on(kernel, binding, id)?,
+            None => hetsel_gpusim::simulate(kernel, binding, &self.platform.gpu)?.total_s(),
+        };
+        Some(Measured { cpu_s, gpu_s })
+    }
+
+    /// Simulates the region on one registered device, in seconds: the host,
+    /// or an accelerator's own descriptor. `None` for an id the fleet does
+    /// not register, or a region the simulator cannot run.
+    pub(crate) fn simulate_on(
+        &self,
+        kernel: &Kernel,
+        binding: &Binding,
+        device: DeviceId,
+    ) -> Option<f64> {
+        if device.is_host() {
+            let cpu = hetsel_cpusim::simulate(
+                kernel,
+                binding,
+                &self.platform.cpu,
+                self.platform.host_threads,
+            )?;
+            return Some(cpu.total_s());
+        }
+        let accel = self.fleet.accelerator(device)?;
+        Some(hetsel_gpusim::simulate(kernel, binding, &accel.descriptor)?.total_s())
     }
 
     /// Decides and measures: the full model-vs-actual record for one region.
@@ -1260,23 +1272,26 @@ struct CacheKey {
 }
 
 impl CacheKey {
+    /// The key of `region`'s decision under a binding given as a lookup:
+    /// `binding` returns a parameter's value by name, so a key is built as
+    /// well from a [`Binding`] as from a request line's borrowed entries.
     fn new(
         region: RegionId,
         scope: DeviceId,
         policy: u8,
         epoch: u64,
         attrs: &RegionAttributes,
-        binding: &Binding,
+        binding: impl Fn(&str) -> Option<i64>,
     ) -> CacheKey {
         let params = &attrs.required_params;
         let mut inline = [None; INLINE_KEY_SLOTS];
         let mut spill = None;
         if params.len() <= INLINE_KEY_SLOTS {
             for (slot, p) in inline.iter_mut().zip(params) {
-                *slot = binding.get(p);
+                *slot = binding(p);
             }
         } else {
-            spill = Some(params.iter().map(|p| binding.get(p)).collect());
+            spill = Some(params.iter().map(|p| binding(p)).collect());
         }
         let mut key = CacheKey {
             region,
@@ -1743,7 +1758,7 @@ impl DecisionEngine {
             OWN_POLICY,
             self.calib_epoch(),
             attrs,
-            binding,
+            |p| binding.get(p),
         );
         Some(self.decide_cached(key, || self.selector.decide(attrs, binding)))
     }
@@ -1798,26 +1813,51 @@ impl DecisionEngine {
     /// region, and for a zero budget, which `decide_request` degrades
     /// without consulting the cache.
     pub fn cached(&self, request: &DecisionRequest) -> Option<Decision> {
-        if request.deadline().is_some_and(|d| d.is_zero()) {
+        self.cached_parts(
+            request.region(),
+            |p| request.binding().get(p),
+            request.policy_override(),
+            request.deadline(),
+        )
+    }
+
+    /// As [`DecisionEngine::cached`], over a request's parts instead of an
+    /// owned [`DecisionRequest`]: `binding` returns a parameter's value by
+    /// name. A caller that decoded a request in place — the decision
+    /// service, from the bytes of a request line — probes with what it
+    /// borrowed, and a hit allocates nothing (`core/tests/zero_alloc.rs`).
+    pub fn cached_parts(
+        &self,
+        region: &str,
+        binding: impl Fn(&str) -> Option<i64>,
+        policy_override: Option<Policy>,
+        deadline: Option<Duration>,
+    ) -> Option<Decision> {
+        if deadline.is_some_and(|d| d.is_zero()) {
             return None;
         }
-        let (key, _) = self.request_key(request)?;
+        let (key, _) = self.parts_key(region, binding, policy_override)?;
         self.probe(&key)
     }
 
-    /// The cache key [`DecisionEngine::decide_request`] decides `request`
-    /// under, with the region's compiled attributes; `None` for an
-    /// unknown region.
-    fn request_key(&self, request: &DecisionRequest) -> Option<(CacheKey, &RegionAttributes)> {
-        let (id, attrs) = self.database.region_entry(request.region())?;
-        let policy = request.policy_override().map_or(OWN_POLICY, policy_code);
+    /// The cache key [`DecisionEngine::decide_request`] decides a request
+    /// with these parts under, with the region's compiled attributes;
+    /// `None` for an unknown region.
+    fn parts_key(
+        &self,
+        region: &str,
+        binding: impl Fn(&str) -> Option<i64>,
+        policy_override: Option<Policy>,
+    ) -> Option<(CacheKey, &RegionAttributes)> {
+        let (id, attrs) = self.database.region_entry(region)?;
+        let policy = policy_override.map_or(OWN_POLICY, policy_code);
         let key = CacheKey::new(
             id,
             DeviceId::FLEET,
             policy,
             self.calib_epoch(),
             attrs,
-            request.binding(),
+            binding,
         );
         Some((key, attrs))
     }
@@ -1852,7 +1892,9 @@ impl DecisionEngine {
             }
             Some(fleet_idx)
         };
-        let key = CacheKey::new(id, device, OWN_POLICY, self.calib_epoch(), attrs, binding);
+        let key = CacheKey::new(id, device, OWN_POLICY, self.calib_epoch(), attrs, |p| {
+            binding.get(p)
+        });
         Some(self.decide_cached(key, || {
             self.selector.decide_restricted(attrs, binding, scope)
         }))
@@ -1905,14 +1947,16 @@ impl DecisionEngine {
         let start = Instant::now();
         let deadline = deadline_override.or_else(|| request.deadline());
         if deadline.is_some_and(|d| d.is_zero()) {
-            // No budget at all: don't even evaluate, but still refuse
-            // unknown regions.
-            self.database.region(request.region())?;
-            return Some((self.deadline_degraded(request.region()), true));
+            // No budget at all: don't even evaluate.
+            return self.degraded(request.region()).map(|d| (d, true));
         }
         let decision = {
             let _timer = hetsel_obs::static_histogram!("hetsel.core.decide.ns").start_timer();
-            let (key, attrs) = self.request_key(request)?;
+            let (key, attrs) = self.parts_key(
+                request.region(),
+                |p| request.binding().get(p),
+                request.policy_override(),
+            )?;
             let policy = request.policy_override().unwrap_or(self.selector.policy);
             self.decide_cached(key, || {
                 self.selector.decide_under(policy, attrs, request.binding())
@@ -1925,6 +1969,15 @@ impl DecisionEngine {
             return Some((self.deadline_degraded(request.region()), true));
         }
         Some((decision, false))
+    }
+
+    /// What a request for `region` decides with no budget at all: the
+    /// deadline-degraded compiler default of
+    /// [`DecisionEngine::decide_within`] with a zero deadline, taken from
+    /// the region's name alone. `None` for an unknown region.
+    pub fn degraded(&self, region: &str) -> Option<Decision> {
+        self.database.region(region)?;
+        Some(self.deadline_degraded(region))
     }
 
     /// The decision a deadline miss degrades to: the compiler default
@@ -1990,14 +2043,9 @@ impl DecisionEngine {
             }
             match self.database.region_entry(request.region()) {
                 Some((id, attrs)) => {
-                    let key = CacheKey::new(
-                        id,
-                        DeviceId::FLEET,
-                        OWN_POLICY,
-                        epoch,
-                        attrs,
-                        request.binding(),
-                    );
+                    let key = CacheKey::new(id, DeviceId::FLEET, OWN_POLICY, epoch, attrs, |p| {
+                        request.binding().get(p)
+                    });
                     by_shard[self.cache.shard_index(&key)].push(i);
                     keyed.push(Some((key, attrs)));
                 }
@@ -2128,7 +2176,7 @@ impl DecisionEngine {
             OWN_POLICY,
             self.calib_epoch(),
             attrs,
-            binding,
+            |p| binding.get(p),
         );
         explanation.cached = self.cache.shard(&key).lru.lock().contains(&key);
         Some(explanation)

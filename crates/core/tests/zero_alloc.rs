@@ -1,5 +1,6 @@
-//! Proof that a cache-hit `decide` — and the cache-only probe
-//! `DecisionEngine::cached` — performs **zero heap allocations**.
+//! Proof that a cache-hit `decide` — and the cache-only probes
+//! `DecisionEngine::cached` and `DecisionEngine::cached_parts` — performs
+//! **zero heap allocations**.
 //!
 //! A counting global allocator tallies every `alloc`/`realloc`/
 //! `alloc_zeroed` on a per-thread counter; the test primes the engine (the
@@ -182,10 +183,31 @@ fn cached_probe_hit_allocates_nothing() {
         .clone()
         .with_policy(hetsel_core::Policy::AlwaysHost)
         .with_deadline(Duration::from_secs(3600));
+    // The same requests as borrowed parts, the way the decision service
+    // probes a request line it decoded in place: the binding is a lookup
+    // over entries that borrow the line, the last of a repeated name
+    // winning.
+    let n = binding(Dataset::Benchmark).get("n").expect("gemm binds n");
+    let entries = [("m", 7), ("n", n - 1), ("n", n)];
+    let lookup = |name: &str| {
+        entries
+            .iter()
+            .rev()
+            .find_map(|&(k, v)| (k == name).then_some(v))
+    };
     for request in [&plain, &overridden] {
         let first = engine.decide_request(request).expect("gemm is known");
+        let parts = || {
+            engine.cached_parts(
+                request.region(),
+                lookup,
+                request.policy_override(),
+                request.deadline(),
+            )
+        };
         for _ in 0..3 {
             engine.cached(request).expect("primed hit");
+            parts().expect("primed borrowed hit");
         }
         let before = allocs_on_this_thread();
         let mut last = None;
@@ -193,13 +215,25 @@ fn cached_probe_hit_allocates_nothing() {
             last = engine.cached(request);
         }
         let after = allocs_on_this_thread();
+        let mut borrowed = None;
+        for _ in 0..1000 {
+            borrowed = parts();
+        }
+        let after_parts = allocs_on_this_thread();
         assert_eq!(
             after - before,
             0,
             "cached hit must not allocate (1000 hits allocated {} times)",
             after - before
         );
+        assert_eq!(
+            after_parts - after,
+            0,
+            "borrowed cached hit must not allocate (1000 hits allocated {} times)",
+            after_parts - after
+        );
         assert_eq!(last.expect("hit"), first);
+        assert_eq!(borrowed.expect("borrowed hit"), first);
     }
 }
 

@@ -17,9 +17,12 @@
 //!
 //! Replies go out as soon as they are decided: there is no batching
 //! window, and a decide-only request whose decision is cached is answered
-//! at admission without waking the batcher. A client that writes several
-//! lines before reading gets them evaluated together, up to 16 in flight
-//! per connection.
+//! at admission, on the connection's thread, from the line's own bytes —
+//! decoded in place, probed and rendered without a heap allocation and
+//! without waking the batcher. A client that writes several lines before
+//! reading gets them evaluated together, up to 16 in flight per
+//! connection; a TCP client that stops reading is disconnected after
+//! 10 s.
 
 use std::io::{self, BufReader, Write};
 use std::net::TcpListener;

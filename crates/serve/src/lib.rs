@@ -9,10 +9,16 @@
 //!
 //! 1. **Admission control.** A decide-only request whose decision is
 //!    already cached is answered at admission, on the submitting thread
-//!    ([`DecisionEngine::cached`](hetsel_core::DecisionEngine::cached)):
+//!    ([`DecisionEngine::cached_parts`](hetsel_core::DecisionEngine::cached_parts)):
 //!    a cache hit costs far less than a hand-off to another thread, so it
-//!    takes no queue slot. Everything else meets a bounded queue between
-//!    transports and the engine. Under overload, [`ServerHandle::submit`]
+//!    takes no queue slot. A transport admits each line's
+//!    [`BorrowedRequest`] while the line is still in its read buffer, so a
+//!    hit is answered from borrowed bytes with no heap allocation: no
+//!    owned request, no pending request, no reply strings — the cached
+//!    decision is rendered straight into the reply bytes
+//!    ([`ServeReply::write_ok_json`]). Everything else meets a bounded
+//!    queue between transports and the engine. Under overload,
+//!    [`ServerHandle::submit`]
 //!    sheds with a typed [`ShedReason`] instead of queueing unboundedly,
 //!    and [`ServerHandle::submit_wait`] backpressures instead of shedding
 //!    — the caller picks the failure mode. Every shed reply still carries
@@ -28,8 +34,9 @@
 //!    while the previous batch was evaluated, and from transport bursts —
 //!    every complete line a connection has buffered (up to
 //!    [`MAX_IN_FLIGHT`]) is decoded in one pass by
-//!    [`parse_request_line`], admitted together and answered with one
-//!    write, rendered by [`ServeReply::write_json`]. No thread is woken
+//!    [`decode_request_line`] and admitted; its misses are queued
+//!    together, and all its replies leave with one write, rendered by
+//!    [`ServeReply::write_json`]. No thread is woken
 //!    unless it is asleep: a condvar notify is a syscall even with no
 //!    waiter, so the queue and the reply slots track their sleepers.
 //! 3. **Real deadline timers.** A dedicated timer thread answers a
@@ -41,20 +48,19 @@
 //! The crate is instrumented through `hetsel-obs` end to end: a
 //! queue-depth gauge (`hetsel.serve.queue.depth`), admission and shed
 //! counters (`hetsel.serve.admitted`, `hetsel.serve.admission_hit`,
-//! `hetsel.serve.shed.<reason>`, `hetsel.serve.accept_error`), a
-//! per-batch size histogram
+//! `hetsel.serve.shed.<reason>`, `hetsel.serve.accept_error`,
+//! `hetsel.serve.conn.write_timeout`), a per-batch size histogram
 //! (`hetsel.serve.window.batch`, named for the coalescing windows it
-//! used to measure), and a
-//! flight-recorder [`EventKind::Shed`](hetsel_obs::EventKind::Shed)
+//! used to measure), and a flight-recorder [`EventKind::Shed`](hetsel_obs::EventKind::Shed)
 //! event for every shed request.
 //!
 //! ```text
-//!  transports (stdin / tcp)          server threads
-//!  ───────────────────────          ────────────────────────────
-//!  burst → submit_all ──┐ admission: cached, decide-only → ok reply
-//!  burst → submit_all ──┤            ┌─ batcher: drain → decide_batch
-//!  burst → submit_all ──┴─► queue ───┤        → (dispatch) → reply
-//!                                    └─ timer: deadline → shed reply
+//!  transports (stdin / tcp)            server threads
+//!  ─────────────────────────            ────────────────────────────
+//!  line → decode → admit ── cached, decide-only → ok reply
+//!  burst's misses ──┐                   ┌─ batcher: drain → decide_batch
+//!  burst's misses ──┴─► queue ──────────┤        → (dispatch) → reply
+//!                                       └─ timer: deadline → shed reply
 //! ```
 
 #![warn(missing_docs)]
@@ -69,12 +75,15 @@ mod warmup;
 
 pub use pending::{Completion, PendingRequest};
 pub use proto::{
-    parse_request_line, ReplyDecision, ReplyDispatch, ServeReply, ServeRequest, ShedReason,
+    decode_request_line, parse_request_line, BorrowedBinding, BorrowedRequest, ReplyDecision,
+    ReplyDispatch, ServeReply, ServeRequest, ShedReason,
 };
 pub use queue::{Admission, AdmissionQueue};
 pub use server::{DecisionServer, ServeConfig, ServerHandle};
 pub use timer::DeadlineTimer;
-pub use transport::{serve_lines, serve_tcp, TransportStats, MAX_IN_FLIGHT, MAX_LINE_BYTES};
+pub use transport::{
+    serve_lines, serve_tcp, TransportStats, MAX_IN_FLIGHT, MAX_LINE_BYTES, WRITE_TIMEOUT,
+};
 pub use warmup::{warm_engine, WarmupReport, WarmupSource};
 
 /// Shared helpers for in-crate unit tests.

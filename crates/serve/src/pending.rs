@@ -1,5 +1,9 @@
-//! The in-flight request: one admitted [`ServeRequest`] plus its
-//! single-assignment reply slot.
+//! The in-flight request: one [`ServeRequest`] that admission could not
+//! answer itself, plus its single-assignment reply slot. A decide-only
+//! request read by a transport and answered from the decision cache never
+//! becomes one; a request given to
+//! [`ServerHandle::submit`](crate::ServerHandle::submit) always does,
+//! its slot completed at once when admission answered it.
 //!
 //! Three parties race to complete a pending request — the batcher (with
 //! the evaluated decision), the deadline timer (with a
@@ -12,13 +16,13 @@
 //!
 //! The completer notifies only a reader that is asleep: the reader sets a
 //! flag under the slot lock before it sleeps, and a condvar notify is a
-//! futex syscall even when nobody waits, while most replies — every one
-//! answered at admission — land before their reader asks.
+//! futex syscall even when nobody waits, while many replies land before
+//! their reader asks.
 //! [`Completion::wait_with`] lends the reply to a closure under the lock,
 //! so a transport renders it without copying it out.
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::proto::{ServeReply, ServeRequest};
 
@@ -33,9 +37,9 @@ struct Slot {
     reply: Option<ServeReply>,
     /// Set, under the lock, by a reader about to sleep on `ready`. Only
     /// then does [`Completion::complete`] notify: a condvar notify is a
-    /// futex syscall even with nobody waiting, and most replies (every
-    /// one answered at admission) land before anyone waits. The reply
-    /// lands once, so the flag is never cleared.
+    /// futex syscall even with nobody waiting, and many replies land
+    /// before anyone waits. The reply lands once, so the flag is never
+    /// cleared.
     sleeping: bool,
 }
 
@@ -116,27 +120,25 @@ pub struct PendingRequest {
 
 impl PendingRequest {
     /// Wraps an admitted envelope; `deadline_ns` (from the request) is
-    /// converted to an absolute expiry against `admitted`.
+    /// converted to an absolute expiry counted from now.
     pub fn new(serve: ServeRequest) -> PendingRequest {
-        let admitted = Instant::now();
-        let expires = serve
-            .request
-            .deadline()
-            .map(|d| admitted.checked_add(d).unwrap_or_else(far_future));
         PendingRequest {
+            expires: serve.request.deadline().map(expiry),
             serve,
-            admitted,
-            expires,
+            admitted: Instant::now(),
             done: Completion::default(),
         }
     }
 }
 
-/// An effectively-unreachable expiry for deadlines so large that
-/// `Instant + Duration` overflows (e.g. `u64::MAX` nanoseconds): ~30
-/// years out, identical in behaviour to "no deadline" for any real run.
-fn far_future() -> Instant {
-    Instant::now() + std::time::Duration::from_secs(60 * 60 * 24 * 365 * 30)
+/// The absolute instant a `deadline` counted from now runs out. A deadline
+/// so large that `Instant + Duration` overflows (e.g. `u64::MAX`
+/// nanoseconds) expires ~30 years out, identical in behaviour to "no
+/// deadline" for any real run.
+pub(crate) fn expiry(deadline: Duration) -> Instant {
+    let now = Instant::now();
+    now.checked_add(deadline)
+        .unwrap_or_else(|| now + Duration::from_secs(60 * 60 * 24 * 365 * 30))
 }
 
 #[cfg(test)]
@@ -146,7 +148,6 @@ mod tests {
     use hetsel_ir::Binding;
     use std::sync::{mpsc, Arc};
     use std::thread;
-    use std::time::Duration;
 
     fn pending(deadline: Option<Duration>) -> PendingRequest {
         let mut req = DecisionRequest::new("gemm", Binding::new());

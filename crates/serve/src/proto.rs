@@ -24,11 +24,16 @@
 //! it never refuses to answer it.
 //!
 //! Neither direction goes through the vendored serde's [`Value`] tree on
-//! the serve path: [`parse_request_line`] decodes a line in one pass
-//! straight into a [`ServeRequest`], and [`ServeReply::write_json`]
-//! renders a reply straight from its fields. The [`Deserialize`] and
-//! [`Serialize`] impls stay, as the oracles the two are tested against
-//! (`tests/request_decode.rs`, `tests/reply_json.rs`) and for clients.
+//! the serve path. [`decode_request_line`] decodes a line in one pass into
+//! a [`BorrowedRequest`] whose region and binding names borrow the line,
+//! so a request answered from the decision cache is never copied out of
+//! the read buffer; [`parse_request_line`] is the same decode, then owned.
+//! [`ServeReply::write_json`] renders a reply straight from its fields,
+//! and [`ServeReply::write_ok_json`] renders a cached decision's `ok`
+//! reply with the same field renderer, without building the reply. The
+//! [`Deserialize`] and [`Serialize`] impls stay, as the oracles these are
+//! tested against (`tests/request_decode.rs`, `tests/reply_json.rs`) and
+//! for clients.
 
 use std::borrow::Cow;
 use std::io::Write;
@@ -160,6 +165,117 @@ impl Deserialize for ServeRequest {
     }
 }
 
+/// Binding entries a [`BorrowedBinding`] holds without the heap, as the
+/// engine's cache key holds its parameter slots.
+const INLINE_ENTRIES: usize = 8;
+
+/// A request line decoded in place by [`decode_request_line`]: the fields
+/// of a [`ServeRequest`], with the region and the binding names borrowed
+/// from the line. A name the line spells with an escape is the one thing
+/// decoded into a string of its own.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BorrowedRequest<'line> {
+    /// Caller correlation token, echoed back verbatim in the reply.
+    pub id: Option<u64>,
+    /// The region the request names.
+    pub region: Cow<'line, str>,
+    /// The runtime binding, entry by entry as the line spells it.
+    pub binding: BorrowedBinding<'line>,
+    /// Decide under this policy instead of the engine's own.
+    pub policy_override: Option<Policy>,
+    /// The request's budget.
+    pub deadline: Option<Duration>,
+    /// Execute the decision through the dispatcher after deciding.
+    pub dispatch: bool,
+}
+
+impl BorrowedRequest<'_> {
+    /// The owned request: the one [`parse_request_line`] returns for the
+    /// same line.
+    pub fn into_owned(self) -> ServeRequest {
+        let mut request = DecisionRequest::new(self.region, self.binding.to_binding());
+        if let Some(policy) = self.policy_override {
+            request = request.with_policy(policy);
+        }
+        if let Some(deadline) = self.deadline {
+            request = request.with_deadline(deadline);
+        }
+        ServeRequest {
+            id: self.id,
+            request,
+            dispatch: self.dispatch,
+        }
+    }
+}
+
+/// A borrowed view of an owned request, for code that handles both forms
+/// as one.
+impl<'a> From<&'a ServeRequest> for BorrowedRequest<'a> {
+    fn from(serve: &'a ServeRequest) -> BorrowedRequest<'a> {
+        let mut binding = BorrowedBinding::default();
+        for (name, value) in serve.request.binding().iter() {
+            binding.push(Cow::Borrowed(name), value);
+        }
+        BorrowedRequest {
+            id: serve.id,
+            region: Cow::Borrowed(serve.request.region()),
+            binding,
+            policy_override: serve.request.policy_override(),
+            deadline: serve.request.deadline(),
+            dispatch: serve.dispatch,
+        }
+    }
+}
+
+/// A request's binding as its line spells it: `(name, value)` entries in
+/// line order, repeated names included. The first eight entries are held
+/// inline, so a binding that short is decoded without the heap; the rest
+/// spill to a vector.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct BorrowedBinding<'line> {
+    len: usize,
+    inline: [(Cow<'line, str>, i64); INLINE_ENTRIES],
+    spill: Vec<(Cow<'line, str>, i64)>,
+}
+
+impl<'line> BorrowedBinding<'line> {
+    /// Appends an entry.
+    pub fn push(&mut self, name: Cow<'line, str>, value: i64) {
+        match self.inline.get_mut(self.len) {
+            Some(slot) => *slot = (name, value),
+            None => self.spill.push((name, value)),
+        }
+        self.len += 1;
+    }
+
+    /// The value `name` is bound to: its last entry's, as in the
+    /// [`Binding`] [`BorrowedBinding::to_binding`] builds.
+    pub fn get(&self, name: &str) -> Option<i64> {
+        self.entries()
+            .rev()
+            .find_map(|(n, value)| (n == name).then_some(value))
+    }
+
+    /// The entries, in line order.
+    pub fn entries(&self) -> impl DoubleEndedIterator<Item = (&str, i64)> {
+        let inline = &self.inline[..self.len.min(INLINE_ENTRIES)];
+        inline
+            .iter()
+            .chain(&self.spill)
+            .map(|(name, value)| (&**name, *value))
+    }
+
+    /// The owned binding: every entry set in line order, so a repeated
+    /// name keeps its last value.
+    pub fn to_binding(&self) -> Binding {
+        let mut binding = Binding::new();
+        for (name, value) in self.entries() {
+            binding.set(name, value);
+        }
+        binding
+    }
+}
+
 /// One reply line. Exactly one is written per request line, whatever
 /// happened to the request.
 #[derive(Debug, Clone, PartialEq)]
@@ -223,14 +339,56 @@ pub struct ReplyDecision {
 impl ReplyDecision {
     /// Projects the engine's decision into its wire form.
     pub fn from_decision(d: &Decision) -> ReplyDecision {
+        let f = DecisionFields::from(d);
         ReplyDecision {
-            region: d.region.to_string(),
-            device: d.device.name().to_string(),
-            device_name: d.device_name.to_string(),
-            policy: d.policy.name().to_string(),
+            region: f.region.to_string(),
+            device: f.device.to_string(),
+            device_name: f.device_name.to_string(),
+            policy: f.policy.to_string(),
+            predicted_cpu_s: f.predicted_cpu_s,
+            predicted_gpu_s: f.predicted_gpu_s,
+            calibrated: f.calibrated,
+        }
+    }
+}
+
+/// A decision's wire fields, borrowed from an engine [`Decision`] or from
+/// a [`ReplyDecision`]: the one projection and the one renderer both
+/// forms share.
+struct DecisionFields<'a> {
+    region: &'a str,
+    device: &'a str,
+    device_name: &'a str,
+    policy: &'a str,
+    predicted_cpu_s: Option<f64>,
+    predicted_gpu_s: Option<f64>,
+    calibrated: bool,
+}
+
+impl<'a> From<&'a Decision> for DecisionFields<'a> {
+    fn from(d: &'a Decision) -> DecisionFields<'a> {
+        DecisionFields {
+            region: &d.region,
+            device: d.device.name(),
+            device_name: &d.device_name,
+            policy: d.policy.name(),
             predicted_cpu_s: d.predicted_cpu_s,
             predicted_gpu_s: d.predicted_gpu_s,
             calibrated: d.calibration.is_some_and(|t| t.applied),
+        }
+    }
+}
+
+impl<'a> From<&'a ReplyDecision> for DecisionFields<'a> {
+    fn from(d: &'a ReplyDecision) -> DecisionFields<'a> {
+        DecisionFields {
+            region: &d.region,
+            device: &d.device,
+            device_name: &d.device_name,
+            policy: &d.policy,
+            predicted_cpu_s: d.predicted_cpu_s,
+            predicted_gpu_s: d.predicted_gpu_s,
+            calibrated: d.calibrated,
         }
     }
 }
@@ -422,57 +580,85 @@ impl ServeReply {
     /// straight from the fields instead of through a [`Value`] tree; the
     /// property test `tests/reply_json.rs` holds the two to that.
     pub fn write_json(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(b"{\"id\":");
-        match self.id() {
-            Some(id) => write_uint(out, id),
-            None => out.extend_from_slice(b"null"),
-        }
-        out.extend_from_slice(b",\"status\":");
-        write_str(out, self.status());
         match self {
             ServeReply::Ok {
+                id,
                 decision,
                 degraded,
                 dispatched,
-                ..
-            } => {
-                out.extend_from_slice(b",\"decision\":");
-                decision.write_json(out);
-                out.extend_from_slice(b",\"degraded\":");
-                write_bool(out, *degraded);
-                out.extend_from_slice(b",\"dispatched\":");
-                match dispatched {
-                    Some(d) => d.write_json(out),
-                    None => out.extend_from_slice(b"null"),
-                }
-            }
+            } => write_ok(out, *id, &decision.into(), *degraded, dispatched.as_ref()),
             ServeReply::Shed {
-                reason, decision, ..
+                id,
+                reason,
+                decision,
             } => {
+                write_head(out, *id, "shed");
                 out.extend_from_slice(b",\"reason\":");
                 write_str(out, reason.metric_key());
                 out.extend_from_slice(b",\"decision\":");
-                decision.write_json(out);
+                DecisionFields::from(decision).write_json(out);
+                out.push(b'}');
             }
-            ServeReply::Error { message, .. } => {
+            ServeReply::Error { id, message } => {
+                write_head(out, *id, "error");
                 out.extend_from_slice(b",\"message\":");
                 write_str(out, message);
+                out.push(b'}');
             }
         }
-        out.push(b'}');
+    }
+
+    /// Appends the JSON text of `ServeReply::ok(id, decision, false, None)`
+    /// — the reply to a decide-only request — straight from the engine's
+    /// decision, without building the reply and its strings. The field
+    /// renderer is [`ServeReply::write_json`]'s; `tests/reply_json.rs`
+    /// holds the bytes to `serde_json::to_string` of the built reply.
+    pub fn write_ok_json(out: &mut Vec<u8>, id: Option<u64>, decision: &Decision) {
+        write_ok(out, id, &decision.into(), false, None);
     }
 }
 
-impl ReplyDecision {
+/// The opening of every reply: `{"id":…,"status":…`.
+fn write_head(out: &mut Vec<u8>, id: Option<u64>, status: &str) {
+    out.extend_from_slice(b"{\"id\":");
+    match id {
+        Some(id) => write_uint(out, id),
+        None => out.extend_from_slice(b"null"),
+    }
+    out.extend_from_slice(b",\"status\":");
+    write_str(out, status);
+}
+
+fn write_ok(
+    out: &mut Vec<u8>,
+    id: Option<u64>,
+    decision: &DecisionFields<'_>,
+    degraded: bool,
+    dispatched: Option<&ReplyDispatch>,
+) {
+    write_head(out, id, "ok");
+    out.extend_from_slice(b",\"decision\":");
+    decision.write_json(out);
+    out.extend_from_slice(b",\"degraded\":");
+    write_bool(out, degraded);
+    out.extend_from_slice(b",\"dispatched\":");
+    match dispatched {
+        Some(d) => d.write_json(out),
+        None => out.extend_from_slice(b"null"),
+    }
+    out.push(b'}');
+}
+
+impl DecisionFields<'_> {
     fn write_json(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(b"{\"region\":");
-        write_str(out, &self.region);
+        write_str(out, self.region);
         out.extend_from_slice(b",\"device\":");
-        write_str(out, &self.device);
+        write_str(out, self.device);
         out.extend_from_slice(b",\"device_name\":");
-        write_str(out, &self.device_name);
+        write_str(out, self.device_name);
         out.extend_from_slice(b",\"policy\":");
-        write_str(out, &self.policy);
+        write_str(out, self.policy);
         out.extend_from_slice(b",\"predicted_cpu_s\":");
         write_opt_f64(out, self.predicted_cpu_s);
         out.extend_from_slice(b",\"predicted_gpu_s\":");
@@ -650,27 +836,35 @@ impl Deserialize for ServeReply {
     }
 }
 
-/// Parses one request line. Returns the typed error reply (never panics)
-/// when the line is not a valid request; blank lines are the caller's
-/// business (transports skip them). The error side is boxed: replies are
-/// wide (they carry a whole degraded decision in the shed arm) and the
-/// refusal path is cold.
+/// Parses one request line into an owned request: [`decode_request_line`],
+/// then [`BorrowedRequest::into_owned`].
+pub fn parse_request_line(line: &str) -> Result<ServeRequest, Box<ServeReply>> {
+    decode_request_line(line).map(BorrowedRequest::into_owned)
+}
+
+/// Decodes one request line in place. Returns the typed error reply
+/// (never panics) when the line is not a valid request; blank lines are
+/// the caller's business (transports skip them). The error side is boxed:
+/// replies are wide (they carry a whole degraded decision in the shed arm)
+/// and the refusal path is cold.
 ///
-/// The line is decoded in one pass, straight into the request, with no
-/// intermediate [`Value`] tree; strings without escapes are borrowed from
-/// the line. It accepts exactly the lines `serde_json::from_str::<ServeRequest>`
-/// accepts, to the same values, and the [`Deserialize`] impl above stays
-/// as the oracle that `tests/request_decode.rs` holds this decoder to:
+/// The line is decoded in one pass, with no intermediate [`Value`] tree.
+/// The region and the binding names are borrowed from the line unless it
+/// spells them with escapes, and a binding of up to eight entries is held
+/// inline, so a plain line decodes without touching the heap. It accepts
+/// exactly the lines `serde_json::from_str::<ServeRequest>` accepts, to the
+/// same values, and the [`Deserialize`] impl above stays as the oracle
+/// that `tests/request_decode.rs` holds this decoder to:
 ///
 /// * a duplicated key counts once, by its first copy, in the envelope and
-///   in `request`; inside `binding` every copy is set, so the last wins;
+///   in `request`; inside `binding` every copy is kept, and the last wins;
 /// * the error reply of a line that is JSON but not a request carries the
 ///   first top-level `"id"`, when that is an integer in `u64` range; a line
 ///   that is not JSON carries none.
 ///
 /// Time and memory are linear in the line, however hostile: nesting in
 /// unknown members is stepped over with a heap stack, not recursion.
-pub fn parse_request_line(line: &str) -> Result<ServeRequest, Box<ServeReply>> {
+pub fn decode_request_line(line: &str) -> Result<BorrowedRequest<'_>, Box<ServeReply>> {
     let mut decoder = Decoder {
         text: line,
         pos: 0,
@@ -678,34 +872,32 @@ pub fn parse_request_line(line: &str) -> Result<ServeRequest, Box<ServeReply>> {
     };
     let bad =
         |id, message: String| Box::new(ServeReply::error(id, format!("bad request: {message}")));
-    let envelope = match decoder.envelope().and_then(|e| decoder.end().map(|()| e)) {
-        Ok(envelope) => envelope,
+    // Decoded in place: the request is wide (its binding holds eight
+    // entries inline), so it is filled where it lies, not moved.
+    let mut request = BorrowedRequest {
+        id: None,
+        region: Cow::Borrowed(""),
+        binding: BorrowedBinding::default(),
+        policy_override: None,
+        deadline: None,
+        dispatch: false,
+    };
+    let valid = match decoder
+        .envelope(&mut request)
+        .and_then(|valid| decoder.end().map(|()| valid))
+    {
+        Ok(valid) => valid,
         Err(Syntax(message)) => return Err(bad(None, message)),
     };
-    let id = envelope.id.flatten();
-    match (decoder.invalid, envelope.request.flatten()) {
-        (None, Some(request)) => Ok(ServeRequest {
-            id,
-            request,
-            dispatch: envelope.dispatch.unwrap_or(false),
-        }),
-        (Some(message), _) => Err(bad(id, message)),
-        (None, None) => Err(bad(id, "missing field: request".to_string())),
+    match (decoder.invalid, valid) {
+        (None, true) => Ok(request),
+        (Some(message), _) => Err(bad(request.id, message)),
+        (None, false) => Err(bad(request.id, "missing field: request".to_string())),
     }
 }
 
 /// The line is not JSON, as the vendored `serde_json` reads JSON.
 struct Syntax(String);
-
-/// The envelope's members. The outer `Option` of each is "seen", so the
-/// first copy of a key wins; the inner one is the decoded value, `None`
-/// when it was `null` or invalid.
-#[derive(Default)]
-struct Envelope {
-    id: Option<Option<u64>>,
-    request: Option<Option<DecisionRequest>>,
-    dispatch: Option<bool>,
-}
 
 /// One JSON value as the decoder needs it: scalars in full, containers
 /// checked and stepped over.
@@ -729,29 +921,34 @@ struct Decoder<'a> {
 }
 
 impl<'a> Decoder<'a> {
-    fn envelope(&mut self) -> Result<Envelope, Syntax> {
-        let mut envelope = Envelope::default();
+    /// The envelope, decoded into `into`. The first copy of each member
+    /// counts; `null` and invalid values leave the field at its default.
+    /// Returns whether a valid `request` member was seen.
+    fn envelope(&mut self, into: &mut BorrowedRequest<'a>) -> Result<bool, Syntax> {
         self.ws();
         if self.peek() != Some(b'{') {
             self.item()?;
             self.mark_invalid(|| "expected a request object".to_string());
-            return Ok(envelope);
+            return Ok(false);
         }
+        let (mut id, mut request, mut dispatch) = (false, None, false);
         self.object(|d, key| {
             match &*key {
-                "id" if envelope.id.is_none() => envelope.id = Some(d.uint("id")?),
-                "request" if envelope.request.is_none() => {
-                    envelope.request = Some(d.decision_request()?)
+                "id" if !id => {
+                    id = true;
+                    into.id = d.uint("id")?;
                 }
-                "dispatch" if envelope.dispatch.is_none() => {
-                    envelope.dispatch = Some(match d.item()? {
+                "request" if request.is_none() => request = Some(d.decision_request(into)?),
+                "dispatch" if !dispatch => {
+                    dispatch = true;
+                    into.dispatch = match d.item()? {
                         Item::Null => false,
                         Item::Bool(b) => b,
                         _ => {
                             d.mark_invalid(|| "bad dispatch flag".to_string());
                             false
                         }
-                    })
+                    };
                 }
                 _ => {
                     d.item()?;
@@ -759,34 +956,42 @@ impl<'a> Decoder<'a> {
             }
             Ok(())
         })?;
-        Ok(envelope)
+        Ok(request == Some(true))
     }
 
-    /// The `request` member; `None` when it is not a valid request.
-    fn decision_request(&mut self) -> Result<Option<DecisionRequest>, Syntax> {
+    /// The `request` member's fields, decoded into `into`; returns whether
+    /// they make a valid request.
+    fn decision_request(&mut self, into: &mut BorrowedRequest<'a>) -> Result<bool, Syntax> {
         if self.peek() != Some(b'{') {
             self.item()?;
             self.mark_invalid(|| "request is not an object".to_string());
-            return Ok(None);
+            return Ok(false);
         }
-        let mut region: Option<Option<String>> = None;
-        let mut binding: Option<Binding> = None;
-        let mut policy: Option<Option<Policy>> = None;
-        let mut deadline: Option<Option<u64>> = None;
+        // Each member's first copy counts; `region` also records whether
+        // it was a string.
+        let mut region: Option<bool> = None;
+        let (mut binding, mut policy, mut deadline) = (false, false, false);
         self.object(|d, key| {
             match &*key {
                 "region" if region.is_none() => {
                     region = Some(match d.item()? {
-                        Item::Str(s) => Some(s.into_owned()),
+                        Item::Str(s) => {
+                            into.region = s;
+                            true
+                        }
                         _ => {
                             d.mark_invalid(|| "region is not a string".to_string());
-                            None
+                            false
                         }
                     })
                 }
-                "binding" if binding.is_none() => binding = Some(d.binding()?),
-                "policy_override" if policy.is_none() => {
-                    policy = Some(match d.item()? {
+                "binding" if !binding => {
+                    binding = true;
+                    d.binding(&mut into.binding)?;
+                }
+                "policy_override" if !policy => {
+                    policy = true;
+                    into.policy_override = match d.item()? {
                         Item::Null => None,
                         Item::Str(s) => {
                             let parsed = Policy::parse(&s);
@@ -799,9 +1004,12 @@ impl<'a> Decoder<'a> {
                             d.mark_invalid(|| "policy_override is not a string".to_string());
                             None
                         }
-                    })
+                    };
                 }
-                "deadline_ns" if deadline.is_none() => deadline = Some(d.uint("deadline_ns")?),
+                "deadline_ns" if !deadline => {
+                    deadline = true;
+                    into.deadline = d.uint("deadline_ns")?.map(Duration::from_nanos);
+                }
                 _ => {
                     d.item()?;
                 }
@@ -811,44 +1019,32 @@ impl<'a> Decoder<'a> {
         if region.is_none() {
             self.mark_invalid(|| "missing field: region".to_string());
         }
-        if binding.is_none() {
+        if !binding {
             self.mark_invalid(|| "missing field: binding".to_string());
         }
-        let (Some(Some(region)), Some(binding)) = (region, binding) else {
-            return Ok(None);
-        };
-        let mut request = DecisionRequest::new(region, binding);
-        if let Some(Some(policy)) = policy {
-            request = request.with_policy(policy);
-        }
-        if let Some(Some(ns)) = deadline {
-            request = request.with_deadline(Duration::from_nanos(ns));
-        }
-        Ok(Some(request))
+        Ok(region == Some(true) && binding)
     }
 
-    /// The `binding` member: every entry must be an integer in `i64`
-    /// range. Entries are set in order, so a repeated name keeps its last
-    /// value.
-    fn binding(&mut self) -> Result<Binding, Syntax> {
-        let mut binding = Binding::new();
+    /// The `binding` member, its entries appended to `into`: every entry
+    /// must be an integer in `i64` range. Entries are kept in order, so a
+    /// repeated name reads as its last value.
+    fn binding(&mut self, into: &mut BorrowedBinding<'a>) -> Result<(), Syntax> {
         if self.peek() != Some(b'{') {
             self.item()?;
             self.mark_invalid(|| "binding is not an object".to_string());
-            return Ok(binding);
+            return Ok(());
         }
         self.object(|d, name| {
             match d.item()? {
-                Item::Int(n) => binding.set(name, n),
+                Item::Int(n) => into.push(name, n),
                 Item::UInt(n) => match i64::try_from(n) {
-                    Ok(n) => binding.set(name, n),
+                    Ok(n) => into.push(name, n),
                     Err(_) => d.mark_invalid(|| format!("binding {name} out of range: {n}")),
                 },
                 _ => d.mark_invalid(|| format!("binding {name} is not an integer")),
             }
             Ok(())
-        })?;
-        Ok(binding)
+        })
     }
 
     /// An optional unsigned member (`id`, `deadline_ns`): `null` is none,

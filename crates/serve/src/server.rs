@@ -7,12 +7,20 @@
 //! stopped server sheds with [`ShedReason::ShuttingDown`], and a
 //! decide-only request whose decision is cached is answered `ok` on the
 //! submitting thread through
-//! [`DecisionEngine::cached`](hetsel_core::DecisionEngine::cached) —
-//! no queue slot, no timer entry, no batcher wake-up, and for a burst
+//! [`DecisionEngine::cached_parts`](hetsel_core::DecisionEngine::cached_parts)
+//! — no queue slot, no timer entry, no batcher wake-up, and for a burst
 //! with nothing left to queue, no queue lock. A hit is a fraction of a
 //! microsecond of engine work; handing it to the batcher and back costs
 //! two sleeping-thread wake-ups, far more. Cache misses and `dispatch`
 //! requests go on to the queue.
+//!
+//! Admission is one function over a [`BorrowedRequest`], run once per
+//! request. A transport runs it on the request it decoded in place from
+//! the line, so a hit keeps only the cached [`Decision`] (two `Arc`
+//! copies), to be rendered into the reply bytes: no owned request, no
+//! reply strings, no pending request. [`ServerHandle::submit_all`] runs
+//! it on a borrowed view of each owned request. Only what must be queued
+//! becomes an owned [`ServeRequest`] in a [`PendingRequest`].
 //!
 //! One batcher thread owns the engine-facing side. Each time it wakes it
 //! takes everything queued in the [`AdmissionQueue`] — without waiting
@@ -49,13 +57,13 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use hetsel_core::{DecisionRequest, Dispatcher};
+use hetsel_core::{Decision, DecisionRequest, Dispatcher};
 use hetsel_obs::{DecisionEvent, EventKind};
 
-use crate::pending::PendingRequest;
-use crate::proto::{ServeReply, ServeRequest, ShedReason};
+use crate::pending::{expiry, PendingRequest};
+use crate::proto::{BorrowedRequest, ServeReply, ServeRequest, ShedReason};
 use crate::queue::{Admission, AdmissionQueue};
 use crate::timer::DeadlineTimer;
 
@@ -110,22 +118,14 @@ impl Inner {
         hetsel_obs::static_gauge!("hetsel.serve.queue.depth").set(self.queue.depth() as i64);
     }
 
-    /// The degraded compiler-default decision a shed reply carries,
-    /// obtained through the engine's zero-budget path (no model
-    /// evaluation, the deadline reason recorded on both model sides).
-    /// Unknown regions shed as typed errors instead.
-    fn shed_reply(&self, pending: &PendingRequest, reason: ShedReason) -> ServeReply {
-        let request = &pending.serve.request;
-        let reply = match self
-            .dispatcher
-            .engine()
-            .decide_within(request, Duration::ZERO)
-        {
-            Some(degraded) => ServeReply::shed(pending.serve.id, reason, &degraded),
-            None => ServeReply::error(
-                pending.serve.id,
-                format!("unknown region {:?}", request.region()),
-            ),
+    /// The shed reply for a request to `region`. It carries the degraded
+    /// compiler-default decision, obtained through the engine's zero-budget
+    /// path (no model evaluation, the deadline reason recorded on both
+    /// model sides). Unknown regions shed as typed errors instead.
+    fn shed_reply(&self, id: Option<u64>, region: &str, reason: ShedReason) -> ServeReply {
+        let reply = match self.dispatcher.engine().degraded(region) {
+            Some(degraded) => ServeReply::shed(id, reason, &degraded),
+            None => ServeReply::error(id, format!("unknown region {region:?}")),
         };
         // One cached counter per reason: a `queue_full` flood sheds on
         // every request, so no name is built or looked up here.
@@ -140,7 +140,7 @@ impl Inner {
         }
         .inc();
         hetsel_obs::record_event(|| {
-            let mut ev = DecisionEvent::new(EventKind::Shed, request.region());
+            let mut ev = DecisionEvent::new(EventKind::Shed, region);
             ev.detail = reason.code();
             ev
         });
@@ -148,7 +148,8 @@ impl Inner {
     }
 
     fn shed(&self, pending: &PendingRequest, reason: ShedReason) {
-        let reply = self.shed_reply(pending, reason);
+        let serve = &pending.serve;
+        let reply = self.shed_reply(serve.id, serve.request.region(), reason);
         pending.done.complete(reply);
     }
 
@@ -157,43 +158,45 @@ impl Inner {
     /// request" error (retrying it can never succeed, so it is not a
     /// shed); a deadline that has already expired is shed; a stopped
     /// server sheds with [`ShedReason::ShuttingDown`]; a decide-only
-    /// request whose decision is cached is answered `ok` in place, with no
-    /// queue slot, timer entry or batcher wake-up. Returns true when it
-    /// answered; dispatches and cache misses go on to the queue.
-    fn answer_before_queue(&self, pending: &PendingRequest) -> bool {
-        let serve = &pending.serve;
+    /// request whose decision is cached is a hit, answered `ok` in place,
+    /// with no queue slot, timer entry or batcher wake-up. Dispatches and
+    /// cache misses go on to the queue.
+    fn answer_before_queue(&self, request: &BorrowedRequest<'_>) -> Admit {
         let engine = self.dispatcher.engine();
-        let region = serve.request.region();
+        let region = &*request.region;
         if engine.database().region(region).is_none() {
             hetsel_obs::static_counter!("hetsel.serve.bad_request").inc();
-            pending.done.complete(ServeReply::error(
-                serve.id,
+            return Admit::Reply(ServeReply::error(
+                request.id,
                 format!("unknown region {region:?}"),
             ));
-            return true;
         }
-        if pending.expires.is_some_and(|at| at <= Instant::now()) {
-            self.shed(pending, ShedReason::DeadlineExpired);
-            return true;
+        if request
+            .deadline
+            .is_some_and(|d| expiry(d) <= Instant::now())
+        {
+            return Admit::Reply(self.shed_reply(request.id, region, ShedReason::DeadlineExpired));
         }
         // Relaxed: the flag guards no other data. A caller that saw
         // `shutdown` return is ordered after the store by that return.
         if self.closed.load(Ordering::Relaxed) {
-            self.shed(pending, ShedReason::ShuttingDown);
-            return true;
+            return Admit::Reply(self.shed_reply(request.id, region, ShedReason::ShuttingDown));
         }
-        if serve.dispatch {
-            return false;
+        if request.dispatch {
+            return Admit::Queue;
         }
-        match engine.cached(&serve.request) {
+        let binding = &request.binding;
+        match engine.cached_parts(
+            region,
+            |name| binding.get(name),
+            request.policy_override,
+            request.deadline,
+        ) {
             Some(decision) => {
                 hetsel_obs::static_counter!("hetsel.serve.admission_hit").inc();
-                pending
-                    .done
-                    .complete(ServeReply::ok(serve.id, &decision, false, None));
-                true
+                Admit::Hit(decision)
             }
-            None => false,
+            None => Admit::Queue,
         }
     }
 
@@ -213,6 +216,17 @@ impl Inner {
     }
 }
 
+/// What admission made of one request.
+pub(crate) enum Admit {
+    /// Answered without the engine's work: an error or a shed.
+    Reply(ServeReply),
+    /// A decide-only request whose decision is cached: an `ok` reply with
+    /// this decision.
+    Hit(Decision),
+    /// A cache miss or a dispatch, for the queue.
+    Queue,
+}
+
 /// Cloneable submission handle; every transport thread holds one.
 #[derive(Clone)]
 pub struct ServerHandle {
@@ -220,6 +234,52 @@ pub struct ServerHandle {
 }
 
 impl ServerHandle {
+    /// Runs admission on one request (see the module docs); the transport
+    /// calls it on each request it decodes.
+    pub(crate) fn admit(&self, request: &BorrowedRequest<'_>) -> Admit {
+        self.inner.answer_before_queue(request)
+    }
+
+    /// Queues the requests admission sent on, in order, under one queue
+    /// lock, so the batcher evaluates them together; arms the deadline
+    /// timer for each, and sheds those past the queue's free space with
+    /// [`ShedReason::QueueFull`]. Takes no lock for an empty burst.
+    pub(crate) fn enqueue(&self, queued: &[Arc<PendingRequest>]) {
+        if queued.is_empty() {
+            return;
+        }
+        let inner = &self.inner;
+        let (admitted, refusal) = inner.queue.try_push_all(queued.iter().cloned());
+        for (i, pending) in queued.iter().enumerate() {
+            let admission = if i < admitted {
+                Admission::Admitted
+            } else {
+                refusal
+            };
+            inner.settle(pending, admission);
+        }
+        inner.publish_depth();
+    }
+
+    /// Runs admission on an owned request and wraps it, its reply slot
+    /// completed when admission answered it. The flag is true when it
+    /// still has to be queued.
+    fn admit_owned(&self, serve: ServeRequest) -> (Arc<PendingRequest>, bool) {
+        let reply = match self.admit(&BorrowedRequest::from(&serve)) {
+            Admit::Reply(reply) => Some(reply),
+            Admit::Hit(decision) => Some(ServeReply::ok(serve.id, &decision, false, None)),
+            Admit::Queue => None,
+        };
+        let pending = Arc::new(PendingRequest::new(serve));
+        match reply {
+            Some(reply) => {
+                pending.done.complete(reply);
+                (pending, false)
+            }
+            None => (pending, true),
+        }
+    }
+
     /// Admits `serve` (or answers or refuses it), returning the pending
     /// request to wait on. Admission arms the deadline timer for queued
     /// deadline-carrying requests. The reply slot is *already completed*
@@ -240,8 +300,8 @@ impl ServerHandle {
     /// [`ShedReason::ShuttingDown`] if the server stops while waiting.
     pub fn submit_wait(&self, serve: ServeRequest) -> Arc<PendingRequest> {
         let inner = &self.inner;
-        let pending = Arc::new(PendingRequest::new(serve));
-        if !inner.answer_before_queue(&pending) {
+        let (pending, queue) = self.admit_owned(serve);
+        if queue {
             let admission = inner.queue.push_wait(Arc::clone(&pending));
             inner.settle(&pending, admission);
             inner.publish_depth();
@@ -259,28 +319,18 @@ impl ServerHandle {
         &self,
         burst: impl IntoIterator<Item = ServeRequest>,
     ) -> Vec<Arc<PendingRequest>> {
-        let inner = &self.inner;
-        let pending: Vec<Arc<PendingRequest>> = burst
+        let mut queued = Vec::new();
+        let pending = burst
             .into_iter()
-            .map(|serve| Arc::new(PendingRequest::new(serve)))
+            .map(|serve| {
+                let (pending, queue) = self.admit_owned(serve);
+                if queue {
+                    queued.push(Arc::clone(&pending));
+                }
+                pending
+            })
             .collect();
-        let queued: Vec<&Arc<PendingRequest>> = pending
-            .iter()
-            .filter(|p| !inner.answer_before_queue(p))
-            .collect();
-        if queued.is_empty() {
-            return pending;
-        }
-        let (admitted, refusal) = inner.queue.try_push_all(queued.iter().copied().cloned());
-        for (i, p) in queued.into_iter().enumerate() {
-            let admission = if i < admitted {
-                Admission::Admitted
-            } else {
-                refusal
-            };
-            inner.settle(p, admission);
-        }
-        inner.publish_depth();
+        self.enqueue(&queued);
         pending
     }
 
@@ -442,6 +492,7 @@ mod tests {
     use super::*;
     use hetsel_core::{DecisionEngine, DispatcherConfig, Platform, Selector};
     use hetsel_polybench::{find_kernel, Dataset};
+    use std::time::Duration;
 
     fn server(config: ServeConfig) -> DecisionServer {
         let (kernel, _) = find_kernel("gemm").unwrap();

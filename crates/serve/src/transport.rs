@@ -11,24 +11,38 @@
 //! a `line_too_long` error, and reading resumes after their newline.
 //!
 //! Framing works in *bursts*, on bytes. One burst reads the input once
-//! (`fill_buf`), submits every complete line already buffered — at most
-//! [`MAX_IN_FLIGHT`] of them — with one [`ServerHandle::submit_all`]
-//! (which answers cached decide-only requests on the spot), waits for
-//! their replies in submission order, renders them with
-//! [`ServeReply::write_json`] into one reused buffer, and sends them with
-//! one `write_all` + `flush`. A client with one request in flight gets one
-//! reply per request, as with a line-at-a-time loop; a client that
-//! pipelines gets its buffered lines evaluated as one batch. The
-//! transport never blocks on a read while it holds unwritten replies,
-//! adds no threads, and never holds more than [`MAX_LINE_BYTES`] of an
-//! unfinished line.
+//! (`fill_buf`) and takes every complete line already buffered — at most
+//! [`MAX_IN_FLIGHT`] of them. Each line is decoded in place by
+//! [`decode_request_line`] and admitted on the spot, while its bytes are
+//! still in the read buffer: a decide-only request whose decision is
+//! cached keeps just that decision, and only a cache miss or a dispatch
+//! is copied into an owned request. The burst's misses then go to the
+//! queue together, under one queue lock. The replies are rendered in line
+//! order into one reused buffer — a cached decision by
+//! [`ServeReply::write_ok_json`], every other reply by
+//! [`ServeReply::write_json`] — and sent with one `write_all` + `flush`.
+//! A cached line costs no heap allocation at all
+//! (`tests/cached_line_allocs.rs`).
+//!
+//! A client with one request in flight gets one reply per request, as with
+//! a line-at-a-time loop; a client that pipelines gets its buffered lines
+//! evaluated as one batch. The transport never blocks on a read while it
+//! holds unwritten replies, adds no threads, and never holds more than
+//! [`MAX_LINE_BYTES`] of an unfinished line. On TCP, a write that stalls
+//! for [`WRITE_TIMEOUT`] — a client that stopped reading — ends the
+//! connection; every reply of the burst being written was already
+//! complete, so nothing is left behind.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 
-use crate::proto::{parse_request_line, ServeReply, ServeRequest};
-use crate::server::ServerHandle;
+use hetsel_core::Decision;
+
+use crate::pending::PendingRequest;
+use crate::proto::{decode_request_line, ServeReply};
+use crate::server::{Admit, ServerHandle};
 
 /// Most request lines one connection has in flight: the lines of one
 /// burst. It bounds the replies a session buffers, and so its memory.
@@ -41,6 +55,11 @@ pub const MAX_LINE_BYTES: usize = 64 * 1024;
 /// How long the accept loop pauses after a failed accept, so a lasting
 /// error (out of file descriptors) does not spin a core.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Longest a reply write to a TCP client may stall. A client that stops
+/// reading for longer is disconnected (`hetsel.serve.conn.write_timeout`),
+/// so its connection thread does not block forever.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// What one transport session processed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -81,14 +100,25 @@ pub fn serve_lines(
     }
 }
 
+/// What the burst holds for one line until it is sent.
+enum Slot {
+    /// Answered without the batcher: a line that is not a request, or an
+    /// error or shed from admission.
+    Reply(ServeReply),
+    /// A decide-only request answered from the decision cache: its id and
+    /// the cached decision, rendered when the burst is sent.
+    Hit(Option<u64>, Decision),
+    /// Sent on to the batcher: the next request in `queued`.
+    Queued,
+}
+
 /// One session's framing state, reused from burst to burst.
 struct Burst<'h> {
     handle: &'h ServerHandle,
-    /// One entry per non-blank line of the burst, in order: the reply
-    /// when the transport answers the line itself, `None` when the line
-    /// went to the server (its request is next in `requests`).
-    slots: Vec<Option<ServeReply>>,
-    requests: Vec<ServeRequest>,
+    /// One entry per non-blank line of the burst, in order.
+    slots: Vec<Slot>,
+    /// The burst's cache misses and dispatches, in line order.
+    queued: Vec<Arc<PendingRequest>>,
     /// The start of a line whose newline has not been read yet.
     partial: Vec<u8>,
     /// True while dropping the rest of an over-long line, whose reply is
@@ -104,7 +134,7 @@ impl<'h> Burst<'h> {
         Burst {
             handle,
             slots: Vec::with_capacity(MAX_IN_FLIGHT),
-            requests: Vec::with_capacity(MAX_IN_FLIGHT),
+            queued: Vec::with_capacity(MAX_IN_FLIGHT),
             partial: Vec::new(),
             skipping: false,
             out: Vec::new(),
@@ -176,16 +206,25 @@ impl<'h> Burst<'h> {
         }
     }
 
-    /// Frames one complete line (without its newline).
+    /// Frames one complete line (without its newline) and admits its
+    /// request.
     fn line(&mut self, bytes: &[u8]) {
         let bytes = bytes.strip_suffix(b"\r").unwrap_or(bytes);
         match std::str::from_utf8(bytes) {
             Ok(text) if text.trim().is_empty() => {}
-            Ok(text) => match parse_request_line(text) {
+            Ok(text) => match decode_request_line(text) {
                 Ok(request) => {
                     self.stats.lines += 1;
-                    self.requests.push(request);
-                    self.slots.push(None);
+                    let slot = match self.handle.admit(&request) {
+                        Admit::Reply(reply) => Slot::Reply(reply),
+                        Admit::Hit(decision) => Slot::Hit(request.id, decision),
+                        Admit::Queue => {
+                            let pending = PendingRequest::new(request.into_owned());
+                            self.queued.push(Arc::new(pending));
+                            Slot::Queued
+                        }
+                    };
+                    self.slots.push(slot);
                 }
                 Err(error_reply) => self.refuse(*error_reply),
             },
@@ -200,34 +239,33 @@ impl<'h> Burst<'h> {
     fn refuse(&mut self, reply: ServeReply) {
         hetsel_obs::static_counter!("hetsel.serve.bad_request").inc();
         self.stats.lines += 1;
-        self.slots.push(Some(reply));
+        self.slots.push(Slot::Reply(reply));
     }
 
-    /// Submits the burst's requests together, waits for the replies in
-    /// line order and sends them all in one write.
+    /// Queues the burst's misses together, renders every reply in line
+    /// order — waiting for the batcher where it must — and sends them all
+    /// in one write.
     fn send(&mut self, writer: &mut impl Write) -> io::Result<()> {
         if self.slots.is_empty() {
             return Ok(());
         }
-        let mut pending = self.handle.submit_all(self.requests.drain(..)).into_iter();
+        self.handle.enqueue(&self.queued);
+        let mut queued = self.queued.drain(..);
         let (out, stats) = (&mut self.out, &mut self.stats);
         out.clear();
-        let mut render = |reply: &ServeReply| {
-            if reply.status() == "error" {
-                stats.errors += 1;
-            }
-            reply.write_json(out);
-            out.push(b'\n');
-        };
         let replies = self.slots.len() as u64;
         for slot in self.slots.drain(..) {
             match slot {
-                Some(reply) => render(&reply),
-                None => pending
+                Slot::Reply(reply) => render(out, &mut stats.errors, &reply),
+                Slot::Hit(id, decision) => {
+                    ServeReply::write_ok_json(out, id, &decision);
+                    out.push(b'\n');
+                }
+                Slot::Queued => queued
                     .next()
-                    .expect("one pending request per submitted line")
+                    .expect("one pending request per queued line")
                     .done
-                    .wait_with(&mut render),
+                    .wait_with(|reply| render(out, &mut stats.errors, reply)),
             }
         }
         writer.write_all(&self.out)?;
@@ -237,10 +275,20 @@ impl<'h> Burst<'h> {
     }
 }
 
+/// Appends one reply line to `out`, counting it in `errors` when it is a
+/// typed error.
+fn render(out: &mut Vec<u8>, errors: &mut u64, reply: &ServeReply) {
+    if reply.status() == "error" {
+        *errors += 1;
+    }
+    reply.write_json(out);
+    out.push(b'\n');
+}
+
 /// Accept loop: serves every connection on `listener` in its own thread
-/// (each connection runs [`serve_lines`] over the socket). A failed
-/// accept is logged, counted in `hetsel.serve.accept_error` and skipped;
-/// the loop never returns.
+/// (each connection runs [`serve_lines`] over the socket, with writes
+/// bounded by [`WRITE_TIMEOUT`]). A failed accept is logged, counted in
+/// `hetsel.serve.accept_error` and skipped; the loop never returns.
 pub fn serve_tcp(listener: TcpListener, handle: ServerHandle) -> ! {
     loop {
         let spawned = listener.accept().and_then(|(stream, _)| {
@@ -248,7 +296,7 @@ pub fn serve_tcp(listener: TcpListener, handle: ServerHandle) -> ! {
             std::thread::Builder::new()
                 .name("hetsel-serve-conn".to_string())
                 .spawn(move || {
-                    let _ = serve_connection(&handle, stream);
+                    let _ = serve_connection(&handle, stream, WRITE_TIMEOUT);
                 })
         });
         if let Err(e) = spawned {
@@ -259,12 +307,30 @@ pub fn serve_tcp(listener: TcpListener, handle: ServerHandle) -> ! {
     }
 }
 
-fn serve_connection(handle: &ServerHandle, stream: TcpStream) -> io::Result<TransportStats> {
+/// Serves one TCP connection. A write that stalls for `write_timeout`
+/// ends it, counted in `hetsel.serve.conn.write_timeout`.
+fn serve_connection(
+    handle: &ServerHandle,
+    stream: TcpStream,
+    write_timeout: Duration,
+) -> io::Result<TransportStats> {
     // Each burst is one write; Nagle would hold a burst back until the
     // client acknowledged the previous one.
     stream.set_nodelay(true)?;
+    stream.set_write_timeout(Some(write_timeout))?;
     let reader = BufReader::new(stream.try_clone()?);
-    serve_lines(handle, reader, stream)
+    let served = serve_lines(handle, reader, stream);
+    if let Err(e) = &served {
+        // A timed-out socket write fails with `WouldBlock` on Unix and
+        // `TimedOut` on Windows.
+        if matches!(
+            e.kind(),
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+        ) {
+            hetsel_obs::static_counter!("hetsel.serve.conn.write_timeout").inc();
+        }
+    }
+    served
 }
 
 #[cfg(test)]
@@ -457,6 +523,44 @@ mod tests {
             assert_eq!(reply.id(), Some(id));
         }
         drop(writer);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_client_that_stops_reading_is_disconnected_after_the_write_timeout() {
+        let server = server();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handle = server.handle();
+        let (done_tx, done) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let served = serve_connection(&handle, stream, Duration::from_millis(100));
+            let _ = done_tx.send(served);
+        });
+        let timeouts = hetsel_obs::registry().counter("hetsel.serve.conn.write_timeout");
+        let before = timeouts.get();
+        // Pipeline cached requests and never read a reply, until the
+        // server hangs up.
+        let client = TcpStream::connect(addr).unwrap();
+        let mut writer = client.try_clone().unwrap();
+        std::thread::spawn(move || {
+            let lines = format!("{}\n", request_line(1)).repeat(256);
+            while writer.write_all(lines.as_bytes()).is_ok() {}
+        });
+        let served = done
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the connection thread ends");
+        let error = served.expect_err("a stalled write ends the session");
+        assert!(
+            matches!(
+                error.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ),
+            "{error:?}"
+        );
+        assert_eq!(timeouts.get(), before + 1);
+        drop(client);
         server.shutdown();
     }
 }

@@ -1,7 +1,8 @@
 //! The allocation budget of a cached request on the serve path: a
-//! one-parameter `gemm` line whose decision is cached costs at most
-//! [`BUDGET`] heap allocations in `serve_lines`, from the bytes read to
-//! the reply written — decoding, admission, the reply and its rendering.
+//! decide-only line whose decision is cached costs no heap allocation in
+//! `serve_lines`, from the bytes read to the reply written — decoding,
+//! admission, the cache probe and the rendered reply — whether it arrives
+//! alone or in a pipelined burst.
 //!
 //! A counting global allocator tallies allocations per thread, as in
 //! `hetsel-core`'s `zero_alloc.rs`: a cached decide-only request is
@@ -15,10 +16,7 @@ use std::io::{self, BufRead, Read};
 
 use hetsel_core::{DecisionEngine, Dispatcher, DispatcherConfig, Platform, Selector};
 use hetsel_polybench::find_kernel;
-use hetsel_serve::{serve_lines, DecisionServer, ServeConfig, ServeReply};
-
-/// Allocations one cached line may take.
-const BUDGET: u64 = 12;
+use hetsel_serve::{serve_lines, DecisionServer, ServeConfig, ServeReply, MAX_IN_FLIGHT};
 
 struct CountingAlloc;
 
@@ -58,14 +56,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Hands out one line per `fill_buf`, as a client with one request in
-/// flight delivers them.
-struct LinePerRead {
+/// Hands out up to `per_read` lines per `fill_buf`: one, as a client with
+/// one request in flight delivers them, or a burst, as a pipelining client
+/// does.
+struct LinesPerRead {
     bytes: Vec<u8>,
     pos: usize,
+    per_read: usize,
 }
 
-impl Read for LinePerRead {
+impl Read for LinesPerRead {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         let n = self.fill_buf()?.read(buf)?;
         self.consume(n);
@@ -73,13 +73,15 @@ impl Read for LinePerRead {
     }
 }
 
-impl BufRead for LinePerRead {
+impl BufRead for LinesPerRead {
     fn fill_buf(&mut self) -> io::Result<&[u8]> {
         let rest = &self.bytes[self.pos..];
         let end = rest
             .iter()
-            .position(|&b| b == b'\n')
-            .map_or(rest.len(), |i| i + 1);
+            .enumerate()
+            .filter(|&(_, &b)| b == b'\n')
+            .nth(self.per_read - 1)
+            .map_or(rest.len(), |(i, _)| i + 1);
         Ok(&rest[..end])
     }
 
@@ -88,23 +90,26 @@ impl BufRead for LinePerRead {
     }
 }
 
-fn session(lines: u64) -> LinePerRead {
-    let bytes = (0..lines)
-        .map(|id| {
-            format!(
-                "{{\"id\":{id},\"request\":{{\"region\":\"gemm\",\"binding\":{{\"n\":1024}}}}}}\n"
-            )
-        })
-        .collect::<String>()
-        .into_bytes();
-    LinePerRead { bytes, pos: 0 }
+/// A decide-only request line: `request` is the JSON of its `request`
+/// member.
+fn line(id: u64, request: &str) -> String {
+    format!("{{\"id\":{id},\"request\":{request}}}\n")
 }
 
-/// Serves `lines` cached lines in one session; returns the allocations
-/// this thread made inside `serve_lines`.
-fn allocs_for(server: &DecisionServer, lines: u64) -> u64 {
+/// Serves `lines` copies of `request`, `per_read` lines per read, in one
+/// session; returns the allocations this thread made inside
+/// `serve_lines`.
+fn allocs_for(server: &DecisionServer, request: &str, lines: u64, per_read: usize) -> u64 {
     let handle = server.handle();
-    let input = session(lines);
+    let bytes = (0..lines)
+        .map(|id| line(id, request))
+        .collect::<String>()
+        .into_bytes();
+    let input = LinesPerRead {
+        bytes,
+        pos: 0,
+        per_read,
+    };
     let mut out = Vec::with_capacity(1 << 20);
     let before = allocs_on_this_thread();
     let stats = serve_lines(&handle, input, &mut out).expect("in-memory transport cannot fail");
@@ -120,28 +125,46 @@ fn allocs_for(server: &DecisionServer, lines: u64) -> u64 {
     allocs
 }
 
-#[test]
-fn a_cached_line_stays_within_its_allocation_budget() {
-    let (kernel, _) = find_kernel("gemm").unwrap();
-    let engine = DecisionEngine::new(
-        Selector::new(Platform::power9_v100()),
-        std::slice::from_ref(&kernel),
-    );
+/// Allocations per cached line: the difference of two session lengths
+/// cancels the session's own buffers, which it reuses from burst to burst.
+fn allocs_per_line(request: &str, per_read: usize) -> f64 {
+    let kernels: Vec<_> = ["gemm", "covar.covar"]
+        .map(|name| find_kernel(name).unwrap().0)
+        .into();
+    let engine = DecisionEngine::new(Selector::new(Platform::power9_v100()), &kernels);
     let server = DecisionServer::start(
         Dispatcher::new(engine, DispatcherConfig::default()),
         ServeConfig::default(),
     );
     // Prime: the first line misses and is decided by the batcher; the
     // rest are hits, which also create every lazily registered metric.
-    allocs_for(&server, 8);
-    // The difference of two session lengths cancels the session's own
-    // buffers, which it reuses from line to line.
-    let (short, long) = (100, 300);
-    let per_line =
-        (allocs_for(&server, long) - allocs_for(&server, short)) as f64 / (long - short) as f64;
-    assert!(
-        per_line <= BUDGET as f64,
-        "a cached line took {per_line:.2} allocations, over the budget of {BUDGET}"
-    );
+    allocs_for(&server, request, 8, 1);
+    allocs_for(&server, request, 2 * per_read as u64, per_read);
+    let (short, long) = (10 * per_read as u64, 30 * per_read as u64);
+    let per_line = (allocs_for(&server, request, long, per_read)
+        - allocs_for(&server, request, short, per_read)) as f64
+        / (long - short) as f64;
     server.shutdown();
+    per_line
+}
+
+#[test]
+fn a_cached_line_allocates_nothing() {
+    let per_line = allocs_per_line(r#"{"region":"gemm","binding":{"n":1024}}"#, 1);
+    assert_eq!(
+        per_line, 0.0,
+        "a cached line took {per_line:.2} allocations"
+    );
+}
+
+#[test]
+fn a_cached_burst_allocates_nothing() {
+    let per_line = allocs_per_line(
+        r#"{"region":"covar.covar","binding":{"n":1000,"m":1200}}"#,
+        MAX_IN_FLIGHT,
+    );
+    assert_eq!(
+        per_line, 0.0,
+        "a line of a cached {MAX_IN_FLIGHT}-line burst took {per_line:.2} allocations"
+    );
 }

@@ -3,8 +3,13 @@
 //! bytes equal `serde_json::to_string`'s: ids from none to `u64::MAX`,
 //! floats including `-0.0`, subnormals, NaN and ±∞ (both write `null`),
 //! and strings holding quotes, backslashes, control bytes and multi-byte
-//! UTF-8.
+//! UTF-8. `ServeReply::write_ok_json`, which renders a cached decision's
+//! reply straight from the engine's `Decision`, is held to the same bytes
+//! as the `ok` reply built from that decision.
 
+use std::sync::Arc;
+
+use hetsel_core::{BindingClass, CalibrationTag, Decision, Device, DeviceId, Policy};
 use hetsel_serve::{ReplyDecision, ReplyDispatch, ServeReply, ShedReason};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -98,6 +103,48 @@ fn decision() -> BoxedStrategy<ReplyDecision> {
         .boxed()
 }
 
+/// An engine decision: every device kind and policy, any names and
+/// predictions, with and without calibration evidence.
+fn engine_decision() -> BoxedStrategy<Decision> {
+    let calibration = prop_oneof![
+        Just(None),
+        (flag(), flag()).prop_map(|(applied, flipped)| Some(CalibrationTag {
+            class: BindingClass(0),
+            raw_cpu_s: None,
+            raw_gpu_s: None,
+            cpu_factor: 1.0,
+            gpu_factor: 1.0,
+            applied,
+            flipped,
+        })),
+    ];
+    (
+        (text(), text()),
+        (flag(), 0u8..3),
+        (opt_float(), opt_float()),
+        calibration,
+    )
+        .prop_map(
+            |((region, device_name), (gpu, policy), (cpu_s, gpu_s), calibration)| Decision {
+                region: Arc::from(region),
+                device: if gpu { Device::Gpu } else { Device::Host },
+                device_id: DeviceId(u16::from(gpu)),
+                device_name: Arc::from(device_name),
+                policy: [
+                    Policy::AlwaysHost,
+                    Policy::AlwaysOffload,
+                    Policy::ModelDriven,
+                ][usize::from(policy)],
+                predicted_cpu_s: cpu_s,
+                predicted_gpu_s: gpu_s,
+                cpu_error: None,
+                gpu_error: None,
+                calibration,
+            },
+        )
+        .boxed()
+}
+
 fn dispatch() -> BoxedStrategy<ReplyDispatch> {
     (
         text(),
@@ -150,6 +197,23 @@ proptest! {
         // write_json appends: whatever the buffer held stays in front.
         let mut out = prefix.clone().into_bytes();
         reply.write_json(&mut out);
+        prop_assert_eq!(&out[..prefix.len()], prefix.as_bytes());
+        prop_assert_eq!(
+            std::str::from_utf8(&out[prefix.len()..]).expect("JSON text is UTF-8"),
+            expected.as_str()
+        );
+    }
+
+    #[test]
+    fn write_ok_json_is_byte_identical_to_the_built_reply(
+        id in id(),
+        decision in engine_decision(),
+        prefix in text(),
+    ) {
+        let built = ServeReply::ok(id, &decision, false, None);
+        let expected = serde_json::to_string(&built).expect("replies always serialize");
+        let mut out = prefix.clone().into_bytes();
+        ServeReply::write_ok_json(&mut out, id, &decision);
         prop_assert_eq!(&out[..prefix.len()], prefix.as_bytes());
         prop_assert_eq!(
             std::str::from_utf8(&out[prefix.len()..]).expect("JSON text is UTF-8"),

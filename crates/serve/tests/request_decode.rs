@@ -1,16 +1,24 @@
-//! Differential test of the request decoder: `parse_request_line` decodes
-//! a line in one pass, and `serde_json::from_str::<ServeRequest>` (the
-//! `Value`-tree `Deserialize` impl) is its oracle.
+//! Differential test of the request decoder: `decode_request_line`
+//! decodes a line in one pass into a borrowed request, `parse_request_line`
+//! owns what it decoded, and `serde_json::from_str::<ServeRequest>` (the
+//! `Value`-tree `Deserialize` impl) is the oracle of both.
 //!
 //! For every generated line, and for byte-level mutations of it:
-//! - a line the oracle accepts decodes to an equal `ServeRequest`;
-//! - a line the oracle rejects is rejected too, with a `bad request:`
-//!   error reply whose id is the oracle's recovered id — the first
-//!   top-level `"id"`, and only when the whole line is valid JSON.
+//! - a line the oracle accepts decodes to an equal `ServeRequest`, and
+//!   its borrowed decode reads the same id, region, policy, deadline and
+//!   dispatch flag, and the oracle's value for every binding name — the
+//!   last entry of a repeated name;
+//! - a line the oracle rejects is rejected too, by both, with a `bad
+//!   request:` error reply whose id is the oracle's recovered id — the
+//!   first top-level `"id"`, and only when the whole line is valid JSON.
+
+use std::borrow::Cow;
 
 use hetsel_core::{DecisionRequest, Policy};
 use hetsel_ir::Binding;
-use hetsel_serve::{parse_request_line, ServeReply, ServeRequest};
+use hetsel_serve::{
+    decode_request_line, parse_request_line, BorrowedRequest, ServeReply, ServeRequest,
+};
 use proptest::prelude::*;
 use proptest::TestRng;
 use serde::Value;
@@ -29,15 +37,50 @@ fn oracle(line: &str) -> Result<ServeRequest, Option<u64>> {
     })
 }
 
+/// Checks a borrowed decode field by field against the oracle's request.
+fn borrowed_agrees(borrowed: &BorrowedRequest<'_>, expected: &ServeRequest, line: &str) {
+    let request = &expected.request;
+    assert_eq!(borrowed.id, expected.id, "id: {line:?}");
+    assert_eq!(borrowed.region, request.region(), "region: {line:?}");
+    assert_eq!(
+        borrowed.policy_override,
+        request.policy_override(),
+        "policy: {line:?}"
+    );
+    assert_eq!(borrowed.deadline, request.deadline(), "deadline: {line:?}");
+    assert_eq!(borrowed.dispatch, expected.dispatch, "dispatch: {line:?}");
+    for (name, value) in request.binding().iter() {
+        assert_eq!(
+            borrowed.binding.get(name),
+            Some(value),
+            "binding {name:?}: {line:?}"
+        );
+    }
+    for (name, _) in borrowed.binding.entries() {
+        assert_eq!(
+            borrowed.binding.get(name),
+            request.binding().get(name),
+            "binding {name:?}: {line:?}"
+        );
+    }
+}
+
 /// Checks the decoder against the oracle on `line`; returns whether the
 /// line was accepted.
 fn agree(line: &str) -> bool {
+    let borrowed = decode_request_line(line);
     match (oracle(line), parse_request_line(line)) {
         (Ok(expected), Ok(decoded)) => {
             assert_eq!(decoded, expected, "decoded differently: {line:?}");
+            borrowed_agrees(&borrowed.expect("parsed, so decoded"), &expected, line);
             true
         }
         (Err(expected_id), Err(reply)) => {
+            assert_eq!(
+                borrowed.expect_err("refused, so not decoded"),
+                reply,
+                "both refuse alike: {line:?}"
+            );
             match &*reply {
                 ServeReply::Error { id, message } => {
                     assert_eq!(*id, expected_id, "recovered id differs: {line:?}");
@@ -223,7 +266,13 @@ fn binding(rng: &mut TestRng) -> String {
     if chance(rng, 5) {
         return pick(rng, &["null", "[]", "5", "\"n\""]).to_string();
     }
-    let members: Vec<(String, String)> = (0..rng.below(5))
+    // Now and then more entries than a borrowed binding holds inline.
+    let entries = if chance(rng, 10) {
+        9 + rng.below(4)
+    } else {
+        rng.below(5)
+    };
+    let members: Vec<(String, String)> = (0..entries)
         .map(|_| {
             let name = pick(rng, &["n", "ni", "nj", "nk", "m", "é", "tsteps"]);
             let v = if chance(rng, 85) {
@@ -583,6 +632,37 @@ fn listed_edge_cases_decode_as_the_oracle_does() {
     ] {
         refused(line, None);
     }
+}
+
+/// The borrowed decode keeps what the line spells plainly in the line,
+/// decodes an escaped name into a string of its own, and reads a repeated
+/// binding name as its last entry, inline or spilled.
+#[test]
+fn the_borrowed_decode_borrows_plain_names_and_keeps_every_entry() {
+    let line = r#"{"id":3,"request":{"region":"gemm","binding":{"n":1,"m":2}}}"#;
+    let request = decode_request_line(line).expect("a request");
+    assert!(matches!(request.region, Cow::Borrowed("gemm")));
+    let entries: Vec<(&str, i64)> = request.binding.entries().collect();
+    assert_eq!(entries, [("n", 1), ("m", 2)]);
+
+    let line = r#"{"request":{"region":"ge\u006dm","binding":{"\u006e":4}}}"#;
+    let request = decode_request_line(line).expect("a request");
+    assert!(matches!(&request.region, Cow::Owned(region) if region == "gemm"));
+    assert_eq!(request.binding.get("n"), Some(4));
+
+    // Ten entries, `n` three times: the second copy sits inline, the last
+    // one spilled past the eighth entry.
+    let line = r#"{"request":{"region":"gemm","binding":{"a":1,"n":2,"b":3,"c":4,"d":5,"e":6,"f":7,"g":8,"n":9,"h":10}}}"#;
+    let request = decode_request_line(line).expect("a request");
+    assert_eq!(request.binding.entries().count(), 10);
+    assert_eq!(request.binding.get("n"), Some(9));
+    assert_eq!(request.binding.get("h"), Some(10));
+    assert_eq!(request.binding.get("a"), Some(1));
+    assert_eq!(request.binding.get("z"), None);
+    let owned = request.into_owned();
+    assert_eq!(owned.request.binding().len(), 9);
+    assert_eq!(owned.request.binding().get("n"), Some(9));
+    assert!(agree(line));
 }
 
 /// Nesting in an unknown member costs the decoder no call stack: a line

@@ -12,22 +12,27 @@
 //!
 //! Three measured blocks:
 //!
-//! * **warm** — open-loop throughput: each producer keeps `depth`
-//!   requests in flight (submit them all, wait for them), so the batcher
-//!   always finds a full queue to drain. Sustained decisions/sec over the
-//!   measured interval.
+//! * **warm** — open-loop throughput: each producer submits `depth`
+//!   requests, then waits for them all. Every request is decide-only, so
+//!   admission decides it on the producer's own thread, from the cache
+//!   or, on a miss, by evaluating the models. Sustained decisions/sec over
+//!   the measured interval.
 //! * **latency** — closed-loop: producers issue one request at a time and
 //!   record every round trip. Percentiles are computed from the *raw*
 //!   sample vector, not the obs histogram (whose log2 buckets are only
 //!   2×-accurate).
 //! * **shed** — pressure: a second, deliberately tiny server (short
-//!   queue, small batches) is flooded without backpressure to exercise
-//!   `queue_full`, and sub-microsecond deadlines exercise
-//!   `deadline_expired`. Every request carries a fresh binding: the
-//!   server answers cached decisions at admission, so only misses can
-//!   fill its queue. Every shed is still a typed reply carrying a
-//!   runnable compiler-default decision; the block counts them by reason,
-//!   and `--validate` fails unless both reasons occurred.
+//!   queue, small batches) is flooded without backpressure with fresh
+//!   `dispatch: true` gemm requests to exercise `queue_full`: only
+//!   dispatches take queue slots, and the models send gemm to the
+//!   accelerator at every size, whose simulation takes microseconds, so
+//!   the flood is short. Decide-only misses with sub-microsecond deadlines
+//!   exercise `deadline_expired`: admission decides them and sheds them
+//!   when the evaluation returns. Every shed is still a typed reply
+//!   carrying a runnable compiler-default decision; the block counts them
+//!   by reason and reports the phase's wall time, and `--validate` fails
+//!   unless both reasons occurred. The **windows** block counts the
+//!   batches the tiny server's executor took during the flood.
 //!
 //! Traffic is deterministic: xorshift64-seeded producers, Zipf(s = 1.1)
 //! region popularity over all 24 paper kernels, and 1 request in 16
@@ -76,6 +81,7 @@ struct LatencyBlock {
 
 #[derive(Serialize)]
 struct ShedBlock {
+    elapsed_s: f64,
     deadline_expired: u64,
     queue_full: u64,
     shutting_down: u64,
@@ -200,6 +206,14 @@ impl Traffic {
     }
 }
 
+/// A `dispatch: true` gemm request with an `n` no other `serial` uses. The
+/// models send gemm to the accelerator at every size, and its simulation
+/// takes microseconds.
+fn fresh_gemm_dispatch(serial: u64) -> ServeRequest {
+    let binding = Binding::new().with("n", 64 + serial as i64);
+    ServeRequest::new(DecisionRequest::new("gemm", binding)).with_dispatch()
+}
+
 fn engine() -> DecisionEngine {
     let kernels: Vec<Kernel> = all_kernels().into_iter().map(|(_, k, _)| k).collect();
     DecisionEngine::new(Selector::new(Platform::power9_v100()), &kernels)
@@ -265,7 +279,6 @@ fn main() {
 
     // Block 1: open-loop sustained throughput.
     let phase = Duration::from_millis(duration_ms / 2);
-    let windows_before = window_summary();
     let start = Instant::now();
     let total_ok = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..producers)
@@ -330,13 +343,18 @@ fn main() {
         "[serve_load] latency: p50 {} ns, p99 {} ns over {} closed-loop calls",
         latency.p50_ns, latency.p99_ns, latency.samples
     );
-    let windows_after = window_summary();
 
     // Block 3: admission pressure against a deliberately tiny server.
+    let windows_before = window_summary();
     let shed = shed_pressure(&traffic, seed ^ 0x5eed, producers);
+    let windows_after = window_summary();
     println!(
-        "[serve_load] shed: {} queue_full, {} deadline_expired, {} shutting_down ({} ok under pressure)",
-        shed.queue_full, shed.deadline_expired, shed.shutting_down, shed.ok_under_pressure
+        "[serve_load] shed: {} queue_full, {} deadline_expired, {} shutting_down ({} ok under pressure) in {:.1} ms",
+        shed.queue_full,
+        shed.deadline_expired,
+        shed.shutting_down,
+        shed.ok_under_pressure,
+        shed.elapsed_s * 1e3
     );
     server.shutdown();
 
@@ -415,9 +433,9 @@ fn run_closed_loop(
     })
 }
 
-/// Floods a tiny server (short queue, small batches) without
-/// backpressure, plus a wave of sub-microsecond deadlines, then shuts it
-/// down mid-stream — exercising all three typed shed reasons.
+/// Floods a tiny server (short queue, small batches) with dispatches,
+/// without backpressure, beside a wave of sub-microsecond deadlines, then
+/// shuts it down — exercising the typed shed reasons.
 fn shed_pressure(traffic: &Traffic, seed: u64, producers: usize) -> ShedBlock {
     let tiny = DecisionServer::start(
         Dispatcher::new(engine(), DispatcherConfig::default()),
@@ -426,12 +444,14 @@ fn shed_pressure(traffic: &Traffic, seed: u64, producers: usize) -> ShedBlock {
             .with_max_batch(16),
     );
     let mut block = ShedBlock {
+        elapsed_s: 0.0,
         deadline_expired: 0,
         queue_full: 0,
         shutting_down: 0,
         ok_under_pressure: 0,
         total_replies: 0,
     };
+    let start = Instant::now();
     let replies: Vec<ServeReply> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..producers.max(2))
             .map(|p| {
@@ -441,21 +461,21 @@ fn shed_pressure(traffic: &Traffic, seed: u64, producers: usize) -> ShedBlock {
                     let mut rng = Rng::new(seed ^ ((p as u64 + 1) * 0x2545_f491_4f6c_dd1d));
                     let mut pendings = Vec::new();
                     // Burst far past the queue capacity, no backpressure.
-                    // Fresh bindings: a cached decision would be answered
-                    // at admission and never reach the queue.
                     for i in 0..512 {
-                        let mut request = traffic.fresh_request(&mut rng, (p * 512 + i) as u64);
-                        if i % 4 == 0 {
-                            // Every fourth request carries an unmeetable
-                            // budget for the deadline-shed path; admitted
-                            // under backpressure so it always reaches the
-                            // timer instead of bouncing off the full
-                            // queue.
-                            request = request.with_deadline(Duration::from_nanos(200));
-                            pendings.push(handle.submit_wait(ServeRequest::new(request)));
+                        let serial = (p * 512 + i) as u64;
+                        let serve = if i % 4 == 0 {
+                            // Every fourth request is a decide-only miss
+                            // with an unmeetable budget: admission decides
+                            // it and sheds it when the evaluation returns.
+                            let request = traffic
+                                .fresh_request(&mut rng, serial)
+                                .with_deadline(Duration::from_nanos(200));
+                            ServeRequest::new(request)
                         } else {
-                            pendings.push(handle.submit(ServeRequest::new(request)));
-                        }
+                            // Only dispatches take queue slots.
+                            fresh_gemm_dispatch(serial)
+                        };
+                        pendings.push(handle.submit(serve));
                     }
                     pendings
                         .iter()
@@ -469,6 +489,7 @@ fn shed_pressure(traffic: &Traffic, seed: u64, producers: usize) -> ShedBlock {
             .flat_map(|h| h.join().unwrap())
             .collect()
     });
+    block.elapsed_s = start.elapsed().as_secs_f64();
     tiny.shutdown();
     for reply in &replies {
         block.total_replies += 1;

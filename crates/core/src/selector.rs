@@ -1659,6 +1659,33 @@ fn note_hit(shard: &CacheShard, decision: &Decision, key_hash: u64) {
     record_decide_event(decision, key_hash, true);
 }
 
+/// A region [`DecisionEngine::resolve`] found by name: its dense id and
+/// compiled attributes, so one name lookup serves a cache probe and, on a
+/// miss, the decision.
+#[derive(Debug, Clone, Copy)]
+pub struct ResolvedRegion<'e> {
+    id: RegionId,
+    attrs: &'e RegionAttributes,
+}
+
+/// What a [`DecisionEngine::lookup`] found.
+#[derive(Debug)]
+pub enum Lookup<'e> {
+    /// The cached decision.
+    Hit(Decision),
+    /// Nothing cached under the probed key.
+    Miss(CacheMiss<'e>),
+}
+
+/// A [`DecisionEngine::lookup`] that missed: the key it probed and the
+/// policy to decide under, for [`DecisionEngine::decide_miss`].
+#[derive(Debug)]
+pub struct CacheMiss<'e> {
+    key: CacheKey,
+    attrs: &'e RegionAttributes,
+    policy: Policy,
+}
+
 /// The compile-once decision engine: a [`Selector`] bound to a precompiled
 /// [`AttributeDatabase`] plus a bounded LRU cache of decisions.
 ///
@@ -1776,7 +1803,14 @@ impl DecisionEngine {
         if let Some(cached) = self.probe(&key) {
             return cached;
         }
-        let decision = eval();
+        self.insert_miss(key, eval())
+    }
+
+    /// The second half of [`DecisionEngine::decide_cached`]: inserts the
+    /// `decision` evaluated for a probe of `key` that missed, unless
+    /// another thread inserted the key meanwhile (then its copy is
+    /// returned and counted as a late hit).
+    fn insert_miss(&self, key: CacheKey, decision: Decision) -> Decision {
         let shard = self.cache.shard(&key);
         let mut lru = shard.lru.lock();
         if let Some(cached) = lru.get(&key) {
@@ -1836,30 +1870,61 @@ impl DecisionEngine {
         if deadline.is_some_and(|d| d.is_zero()) {
             return None;
         }
-        let (key, _) = self.parts_key(region, binding, policy_override)?;
-        self.probe(&key)
+        match self.lookup(self.resolve(region)?, binding, policy_override) {
+            Lookup::Hit(decision) => Some(decision),
+            Lookup::Miss(_) => None,
+        }
     }
 
-    /// The cache key [`DecisionEngine::decide_request`] decides a request
-    /// with these parts under, with the region's compiled attributes;
-    /// `None` for an unknown region.
-    fn parts_key(
-        &self,
-        region: &str,
+    /// Looks `region` up by name, once: the handle serves
+    /// [`DecisionEngine::lookup`] and, on a miss,
+    /// [`DecisionEngine::decide_miss`] without a second name lookup.
+    /// `None` for a region the database does not know.
+    pub fn resolve(&self, region: &str) -> Option<ResolvedRegion<'_>> {
+        let (id, attrs) = self.database.region_entry(region)?;
+        Some(ResolvedRegion { id, attrs })
+    }
+
+    /// Probes the cache for a request to `region` with no deadline, keyed
+    /// as [`DecisionEngine::decide_request`] keys it: `binding` returns a
+    /// parameter's value by name, and `policy_override` picks the cache
+    /// partition. A hit is counted and flight-recorded as a hit of
+    /// `decide_request`, and allocates nothing. A miss evaluates, inserts
+    /// and counts nothing; it hands back the key it probed, for
+    /// [`DecisionEngine::decide_miss`].
+    pub fn lookup<'e>(
+        &'e self,
+        region: ResolvedRegion<'e>,
         binding: impl Fn(&str) -> Option<i64>,
         policy_override: Option<Policy>,
-    ) -> Option<(CacheKey, &RegionAttributes)> {
-        let (id, attrs) = self.database.region_entry(region)?;
-        let policy = policy_override.map_or(OWN_POLICY, policy_code);
+    ) -> Lookup<'e> {
         let key = CacheKey::new(
-            id,
+            region.id,
             DeviceId::FLEET,
-            policy,
+            policy_override.map_or(OWN_POLICY, policy_code),
             self.calib_epoch(),
-            attrs,
+            region.attrs,
             binding,
         );
-        Some((key, attrs))
+        match self.probe(&key) {
+            Some(decision) => Lookup::Hit(decision),
+            None => Lookup::Miss(CacheMiss {
+                key,
+                attrs: region.attrs,
+                policy: policy_override.unwrap_or(self.selector.policy),
+            }),
+        }
+    }
+
+    /// Decides the request whose [`DecisionEngine::lookup`] missed: the
+    /// models evaluate `binding`, which must bind the values the probe's
+    /// lookup returned, and the decision is cached under the probed key.
+    /// Counted and flight-recorded as a miss of
+    /// [`DecisionEngine::decide_request`] with no deadline (a late hit
+    /// when another thread cached the key meanwhile).
+    pub fn decide_miss(&self, miss: CacheMiss<'_>, binding: &Binding) -> Decision {
+        let decision = self.selector.decide_under(miss.policy, miss.attrs, binding);
+        self.insert_miss(miss.key, decision)
     }
 
     /// Takes (or recalls) the decision for `region` with the candidate set
@@ -1952,15 +2017,12 @@ impl DecisionEngine {
         }
         let decision = {
             let _timer = hetsel_obs::static_histogram!("hetsel.core.decide.ns").start_timer();
-            let (key, attrs) = self.parts_key(
-                request.region(),
-                |p| request.binding().get(p),
-                request.policy_override(),
-            )?;
-            let policy = request.policy_override().unwrap_or(self.selector.policy);
-            self.decide_cached(key, || {
-                self.selector.decide_under(policy, attrs, request.binding())
-            })
+            let region = self.resolve(request.region())?;
+            let binding = request.binding();
+            match self.lookup(region, |p| binding.get(p), request.policy_override()) {
+                Lookup::Hit(cached) => cached,
+                Lookup::Miss(miss) => self.decide_miss(miss, binding),
+            }
         };
         // The computed decision is cached above, so a blown budget does
         // not waste the ~µs cold evaluation: the reply degrades, but a

@@ -11,17 +11,20 @@
 //! ```
 //!
 //! Options: `--tcp ADDR` (default: stdin/stdout), `--queue N` (admission
-//! queue capacity), `--batch N` (most requests evaluated together),
-//! `--snapshot PATH` (warm the engine from a compiled-model snapshot —
-//! written back on first run, reused for near-zero-cost reload after).
+//! queue capacity, in dispatches), `--batch N` (most queued dispatches
+//! taken at once), `--snapshot PATH` (warm the engine from a
+//! compiled-model snapshot — written back on first run, reused for
+//! near-zero-cost reload after).
 //!
-//! Replies go out as soon as they are decided: there is no batching
-//! window, and a decide-only request whose decision is cached is answered
-//! at admission, on the connection's thread, from the line's own bytes —
-//! decoded in place, probed and rendered without a heap allocation and
-//! without waking the batcher. A client that writes several lines before
-//! reading gets them evaluated together, up to 16 in flight per
-//! connection; a TCP client that stops reading is disconnected after
+//! Replies go out as soon as they are decided. A decide-only request is
+//! decided at admission, on the connection's thread, and never waits
+//! behind a dispatch: a cached decision straight from the line's own
+//! bytes — decoded in place, probed and rendered without a heap
+//! allocation — and a cache miss by evaluating the models there. Only
+//! `"dispatch":true` requests go to the executor thread. A client may
+//! have up to 16 lines in flight per connection, and the lines it wrote
+//! together leave as one write. Over TCP, at most 256 connections are
+//! served at once, and a client that stops reading is disconnected after
 //! 10 s.
 
 use std::io::{self, BufReader, Write};

@@ -7,60 +7,66 @@
 //! properties a shared decision service needs that a library call does
 //! not:
 //!
-//! 1. **Admission control.** A decide-only request whose decision is
-//!    already cached is answered at admission, on the submitting thread
-//!    ([`DecisionEngine::cached_parts`](hetsel_core::DecisionEngine::cached_parts)):
-//!    a cache hit costs far less than a hand-off to another thread, so it
-//!    takes no queue slot. A transport admits each line's
-//!    [`BorrowedRequest`] while the line is still in its read buffer, so a
-//!    hit is answered from borrowed bytes with no heap allocation: no
-//!    owned request, no pending request, no reply strings — the cached
-//!    decision is rendered straight into the reply bytes
-//!    ([`ServeReply::write_ok_json`]). Everything else meets a bounded
-//!    queue between transports and the engine. Under overload,
-//!    [`ServerHandle::submit`]
-//!    sheds with a typed [`ShedReason`] instead of queueing unboundedly,
-//!    and [`ServerHandle::submit_wait`] backpressures instead of shedding
-//!    — the caller picks the failure mode. Every shed reply still carries
+//! 1. **Admission that decides.** Every decide-only request is decided
+//!    at admission, on the thread that reached it — as the paper's
+//!    runtime decides at region entry: a cached decision is answered from
+//!    the cache, and a cache miss is evaluated on the spot
+//!    ([`DecisionEngine::lookup`](hetsel_core::DecisionEngine::lookup),
+//!    then [`decide_miss`](hetsel_core::DecisionEngine::decide_miss), one
+//!    region lookup for both). A decision costs at most a few
+//!    microseconds of model evaluation, less than a hand-off to another
+//!    thread and back, and so it never waits behind an execution. A
+//!    transport admits each line's [`BorrowedRequest`] while the line is
+//!    still in its read buffer, so a hit is answered from borrowed bytes
+//!    with no heap allocation: no owned request, no pending request, no
+//!    reply strings — the decision is rendered straight into the reply
+//!    bytes ([`ServeReply::write_ok_json`]). Only `dispatch` requests meet
+//!    a bounded queue between transports and the executor. Under
+//!    overload, [`ServerHandle::submit`] sheds a dispatch with a typed
+//!    [`ShedReason`] instead of queueing unboundedly, and
+//!    [`ServerHandle::submit_wait`] backpressures instead of shedding —
+//!    the caller picks the failure mode. Every shed reply still carries
 //!    the degraded compiler-default decision, so a refused caller always
 //!    has something runnable: the serve-layer analogue of the
 //!    dispatcher's "the host is never fully load-shed" rule.
-//! 2. **Request coalescing without a wait.** The batcher takes whatever
-//!    is queued — cache misses and dispatches — the moment it wakes and
-//!    evaluates it with one
-//!    [`decide_batch`](hetsel_core::DecisionEngine::decide_batch) call,
-//!    amortising cache-shard locking and the rayon cold-miss pass. A lone
-//!    request is answered at once; batches form from requests that queued
-//!    while the previous batch was evaluated, and from transport bursts —
-//!    every complete line a connection has buffered (up to
-//!    [`MAX_IN_FLIGHT`]) is decoded in one pass by
-//!    [`decode_request_line`] and admitted; its misses are queued
-//!    together, and all its replies leave with one write, rendered by
-//!    [`ServeReply::write_json`]. No thread is woken
-//!    unless it is asleep: a condvar notify is a syscall even with no
-//!    waiter, so the queue and the reply slots track their sleepers.
+//! 2. **One dispatch executor, fed in bursts.** The executor thread takes
+//!    whatever dispatches are queued the moment it wakes and runs each
+//!    through the dispatcher. Transports work in bursts: every complete
+//!    line a connection has buffered (up to [`MAX_IN_FLIGHT`]) is decoded
+//!    in one pass by [`decode_request_line`] and admitted; its dispatches
+//!    are queued together, and all its replies leave with one write,
+//!    rendered by [`ServeReply::write_json`]. No thread is woken unless it
+//!    is asleep: a condvar notify is a syscall even with no waiter, so the
+//!    queue and the reply slots track their sleepers. A TCP server serves
+//!    at most [`MAX_CONNECTIONS`] connections at once, which also bounds
+//!    how many misses are evaluated at once.
 //! 3. **Real deadline timers.** A dedicated timer thread answers a
-//!    deadline-carrying request the moment its budget expires — not
-//!    after evaluation happens to finish, which is all a synchronous
-//!    post-hoc elapsed check can do. Requests handed to the engine have
-//!    their deadlines stripped so the two mechanisms never fight.
+//!    deadline-carrying dispatch the moment its budget expires — not
+//!    after execution happens to finish, which is all a synchronous
+//!    post-hoc elapsed check can do. A decide-only miss is decided
+//!    without its deadline and shed if its expiry passed meanwhile; a
+//!    queued dispatch reaches the engine without its deadline, so the
+//!    two mechanisms never fight.
 //!
 //! The crate is instrumented through `hetsel-obs` end to end: a
-//! queue-depth gauge (`hetsel.serve.queue.depth`), admission and shed
-//! counters (`hetsel.serve.admitted`, `hetsel.serve.admission_hit`,
-//! `hetsel.serve.shed.<reason>`, `hetsel.serve.accept_error`,
-//! `hetsel.serve.conn.write_timeout`), a per-batch size histogram
-//! (`hetsel.serve.window.batch`, named for the coalescing windows it
-//! used to measure), and a flight-recorder [`EventKind::Shed`](hetsel_obs::EventKind::Shed)
-//! event for every shed request.
+//! queue-depth gauge (`hetsel.serve.queue.depth`), an open-connection
+//! gauge (`hetsel.serve.conn.open`), admission and shed counters
+//! (`hetsel.serve.admitted`, `hetsel.serve.admission_hit`,
+//! `hetsel.serve.admission_miss`, `hetsel.serve.shed.<reason>`,
+//! `hetsel.serve.accept_error`, `hetsel.serve.conn.refused`,
+//! `hetsel.serve.conn.write_timeout`), a histogram of the dispatches the
+//! executor takes at once (`hetsel.serve.window.batch`, named for the
+//! coalescing windows it used to measure), and a flight-recorder
+//! [`EventKind::Shed`](hetsel_obs::EventKind::Shed) event for every shed
+//! request.
 //!
 //! ```text
-//!  transports (stdin / tcp)            server threads
-//!  ─────────────────────────            ────────────────────────────
-//!  line → decode → admit ── cached, decide-only → ok reply
-//!  burst's misses ──┐                   ┌─ batcher: drain → decide_batch
-//!  burst's misses ──┴─► queue ──────────┤        → (dispatch) → reply
-//!                                       └─ timer: deadline → shed reply
+//!  transport threads (stdin / tcp)              server threads
+//!  ───────────────────────────────              ─────────────────────────
+//!  line → decode → admit ─┬─ decide-only: cache hit, or miss → models
+//!                         │                                → ok reply
+//!                         └─ dispatch ─► queue ─┬─ executor: dispatch → reply
+//!                                               └─ timer: deadline → shed
 //! ```
 
 #![warn(missing_docs)]
@@ -82,7 +88,8 @@ pub use queue::{Admission, AdmissionQueue};
 pub use server::{DecisionServer, ServeConfig, ServerHandle};
 pub use timer::DeadlineTimer;
 pub use transport::{
-    serve_lines, serve_tcp, TransportStats, MAX_IN_FLIGHT, MAX_LINE_BYTES, WRITE_TIMEOUT,
+    serve_lines, serve_tcp, TransportStats, MAX_CONNECTIONS, MAX_IN_FLIGHT, MAX_LINE_BYTES,
+    WRITE_TIMEOUT,
 };
 pub use warmup::{warm_engine, WarmupReport, WarmupSource};
 

@@ -1,12 +1,12 @@
-//! The in-flight request: one [`ServeRequest`] that admission could not
-//! answer itself, plus its single-assignment reply slot. A decide-only
-//! request read by a transport and answered from the decision cache never
-//! becomes one; a request given to
-//! [`ServerHandle::submit`](crate::ServerHandle::submit) always does,
-//! its slot completed at once when admission answered it.
+//! The in-flight dispatch: one `dispatch: true` [`ServeRequest`] waiting
+//! for the executor, plus its single-assignment reply slot. Admission
+//! decides every decide-only request itself, so one read by a transport
+//! never becomes one; a request given to
+//! [`ServerHandle::submit`](crate::ServerHandle::submit) always does, its
+//! slot completed at once when admission answered it.
 //!
-//! Three parties race to complete a pending request — the batcher (with
-//! the evaluated decision), the deadline timer (with a
+//! Three parties race to complete a queued dispatch — the executor (with
+//! the decision and its execution), the deadline timer (with a
 //! [`ShedReason::DeadlineExpired`](crate::ShedReason::DeadlineExpired)
 //! shed), and shutdown (with a
 //! [`ShedReason::ShuttingDown`](crate::ShedReason::ShuttingDown) shed).
@@ -105,7 +105,7 @@ impl Completion {
 
 /// One admitted request travelling through the server.
 pub struct PendingRequest {
-    /// The parsed envelope.
+    /// The parsed envelope, without its deadline (see `expires`).
     pub serve: ServeRequest,
     /// When admission accepted it (latency measurement anchor).
     pub admitted: Instant,
@@ -119,11 +119,14 @@ pub struct PendingRequest {
 }
 
 impl PendingRequest {
-    /// Wraps an admitted envelope; `deadline_ns` (from the request) is
-    /// converted to an absolute expiry counted from now.
-    pub fn new(serve: ServeRequest) -> PendingRequest {
+    /// Wraps an admitted envelope. Its deadline moves into `expires`, an
+    /// absolute expiry counted from now: the timer owns the budget, and
+    /// the request reaches the engine without it.
+    pub fn new(mut serve: ServeRequest) -> PendingRequest {
+        let expires = serve.request.deadline().map(expiry);
+        serve.request = serve.request.without_deadline();
         PendingRequest {
-            expires: serve.request.deadline().map(expiry),
+            expires,
             serve,
             admitted: Instant::now(),
             done: Completion::default(),

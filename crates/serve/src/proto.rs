@@ -51,8 +51,9 @@ use serde::{Deserialize, Serialize, Value};
 pub enum ShedReason {
     /// The admission queue was at capacity when the request arrived.
     QueueFull,
-    /// The request's deadline expired (real timer, not a post-hoc check)
-    /// before the batcher evaluated it, or had already expired on arrival.
+    /// The request's deadline expired: on arrival (a zero budget), while
+    /// admission decided it, or (real timer, not a post-hoc check) before
+    /// the executor ran its dispatch.
     DeadlineExpired,
     /// The server was shutting down when the request was admitted or
     /// still queued.

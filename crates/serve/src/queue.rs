@@ -1,13 +1,11 @@
 //! The admission queue: a bounded MPSC queue with a draining consumer.
 //!
-//! Producers are transport threads admitting the requests that need the
-//! engine's work — cache misses and dispatches; the server answers cached
-//! decide-only requests before they reach the queue. The single
-//! consumer is the batcher, which takes *everything queued* the moment
-//! it wakes — no timed wait — so one `decide_batch` call amortises the
-//! shard locking and the rayon cold-miss pass over every request that
-//! queued while the previous batch was evaluated, or that a transport
-//! admitted as one burst ([`AdmissionQueue::try_push_all`]).
+//! Producers are transport threads admitting `dispatch` requests; the
+//! server decides every decide-only request at admission, so none reaches
+//! the queue. The single consumer is the dispatch executor, which takes
+//! *everything queued* the moment it wakes — no timed wait — whether it
+//! queued while the previous dispatches ran or a transport admitted it as
+//! one burst ([`AdmissionQueue::try_push_all`]).
 //!
 //! The queue is deliberately built on `std::sync::{Mutex, Condvar}`, not
 //! the vendored `parking_lot` (which exposes no condvar): the consumer
@@ -18,7 +16,7 @@
 //! sleeps, and a batch notifies `vacated` only while a
 //! [`AdmissionQueue::push_wait`] caller sleeps. Every lock acquisition
 //! recovers from poisoning with `PoisonError::into_inner` — a panicking
-//! producer must not wedge the batcher (the same discipline `hetsel-obs`
+//! producer must not wedge the executor (the same discipline `hetsel-obs`
 //! applies to its registries; the queue's state is a `VecDeque`, two
 //! flags and a count, each valid after any partial mutation).
 
@@ -140,7 +138,7 @@ impl<T> AdmissionQueue<T> {
     /// Consumer side: blocks until at least one request is queued, then
     /// takes everything queued right now (up to `max_batch`) without
     /// waiting for more. Batches still form: from requests that queued
-    /// while the previous batch was being evaluated, and from transport
+    /// while the previous batch was being handled, and from transport
     /// bursts admitted together by [`AdmissionQueue::try_push_all`].
     /// Returns `None` only when the queue is closed *and* drained.
     pub fn next_batch(&self, max_batch: usize) -> Option<Vec<T>> {

@@ -1,45 +1,46 @@
-//! The decision server: admission control → batch drain → batch decide
-//! → (optional) dispatch → reply.
+//! The decision server: admission, which decides → queue → dispatch
+//! executor → reply.
 //!
-//! Admission answers what it can before a request takes a queue slot,
-//! in this order: an unknown region is a typed error, a deadline that has
-//! already expired is shed with [`ShedReason::DeadlineExpired`], a
-//! stopped server sheds with [`ShedReason::ShuttingDown`], and a
-//! decide-only request whose decision is cached is answered `ok` on the
-//! submitting thread through
-//! [`DecisionEngine::cached_parts`](hetsel_core::DecisionEngine::cached_parts)
-//! — no queue slot, no timer entry, no batcher wake-up, and for a burst
-//! with nothing left to queue, no queue lock. A hit is a fraction of a
-//! microsecond of engine work; handing it to the batcher and back costs
-//! two sleeping-thread wake-ups, far more. Cache misses and `dispatch`
-//! requests go on to the queue.
+//! Admission answers every decide-only request on the thread that
+//! submitted it, in this order: an unknown region is a typed error, a
+//! zero budget, expired on arrival, is shed with
+//! [`ShedReason::DeadlineExpired`], a stopped server sheds with
+//! [`ShedReason::ShuttingDown`], a cached decision is answered `ok`
+//! ([`DecisionEngine::lookup`](hetsel_core::DecisionEngine::lookup)), and
+//! a cache miss is decided on the spot
+//! ([`DecisionEngine::decide_miss`](hetsel_core::DecisionEngine::decide_miss)).
+//! The region is looked up by name once, for all of it. A decision costs
+//! at most a few microseconds of model evaluation; handing it to another
+//! thread and back cost two sleeping-thread wake-ups, and made it wait
+//! behind whatever that thread was executing. Only `dispatch` requests
+//! take a queue slot.
 //!
 //! Admission is one function over a [`BorrowedRequest`], run once per
 //! request. A transport runs it on the request it decoded in place from
-//! the line, so a hit keeps only the cached [`Decision`] (two `Arc`
+//! the line, so a decided request keeps only its [`Decision`] (two `Arc`
 //! copies), to be rendered into the reply bytes: no owned request, no
 //! reply strings, no pending request. [`ServerHandle::submit_all`] runs
-//! it on a borrowed view of each owned request. Only what must be queued
-//! becomes an owned [`ServeRequest`] in a [`PendingRequest`].
+//! it on a borrowed view of each owned request. Only a dispatch becomes an
+//! owned [`ServeRequest`] in a [`PendingRequest`].
 //!
-//! One batcher thread owns the engine-facing side. Each time it wakes it
-//! takes everything queued in the [`AdmissionQueue`] — without waiting
-//! for more — and evaluates it with a single
-//! [`DecisionEngine::decide_batch`](hetsel_core::DecisionEngine::decide_batch)
-//! call. A lone request is answered at once; requests that queued while
-//! the previous batch was evaluated, or that a transport admitted as one
-//! burst ([`ServerHandle::submit_all`]), share one batch, so the
-//! per-request cost of shard locking and the rayon cold-miss pass is
-//! paid once per *batch*, not once per request. A
-//! separate [`DeadlineTimer`] thread answers deadline-carrying requests
-//! the moment their budget expires — requests handed to the engine have
-//! their deadlines stripped
-//! ([`DecisionRequest::without_deadline`](hetsel_core::DecisionRequest::without_deadline)),
-//! so the engine never second-guesses the timer with its own post-hoc
-//! elapsed check.
+//! A decide-only miss takes its expiry at admission and is decided
+//! without it, so the engine does no post-hoc degrade. If the expiry has
+//! passed when the decision returns, the reply is the
+//! [`ShedReason::DeadlineExpired`] shed the timer would have sent, and the
+//! decision stays cached for a retry. It arms no timer. A queued dispatch
+//! is shed by the [`DeadlineTimer`] thread the moment its budget runs
+//! out; it reaches the dispatcher without its deadline
+//! ([`PendingRequest::new`] moves it into the expiry), so the engine never
+//! second-guesses the timer.
 //!
-//! Admission control has two modes, mirroring the dispatcher's
-//! breaker/fallback vocabulary one layer up:
+//! One executor thread runs the queued dispatches. Each time it wakes it
+//! takes everything queued in the [`AdmissionQueue`] (up to
+//! [`ServeConfig::max_batch`]), without waiting for more, and runs each
+//! through [`Dispatcher::dispatch`], which decides the request and
+//! executes it on the chosen device.
+//!
+//! Admission control has two modes for dispatches, mirroring the
+//! dispatcher's breaker/fallback vocabulary one layer up:
 //!
 //! * [`ServerHandle::submit`] and [`ServerHandle::submit_all`]
 //!   **load-shed**: a full queue turns into an immediate
@@ -50,7 +51,7 @@
 //!
 //! Either way every admitted or refused request gets exactly one reply —
 //! the serve-layer analogue of the dispatcher's "the host is never fully
-//! load-shed" rule: admission may refuse to spend evaluation budget, but
+//! load-shed" rule: admission may refuse to spend execution budget, but
 //! it always answers, and a shed reply's degraded decision is always
 //! runnable.
 
@@ -59,7 +60,7 @@ use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use hetsel_core::{Decision, DecisionRequest, Dispatcher};
+use hetsel_core::{Decision, Dispatcher, Lookup};
 use hetsel_obs::{DecisionEvent, EventKind};
 
 use crate::pending::{expiry, PendingRequest};
@@ -70,10 +71,10 @@ use crate::timer::DeadlineTimer;
 /// Server tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Queued requests admitted before `submit` starts shedding
+    /// Queued dispatches admitted before `submit` starts shedding
     /// (`submit_wait` blocks instead).
     pub queue_capacity: usize,
-    /// Most requests one batch evaluates together.
+    /// Most queued dispatches the executor takes at once.
     pub max_batch: usize,
 }
 
@@ -93,7 +94,7 @@ impl ServeConfig {
         self
     }
 
-    /// Builder: max requests per batch.
+    /// Builder: most queued dispatches taken at once.
     pub fn with_max_batch(mut self, max_batch: usize) -> ServeConfig {
         self.max_batch = max_batch;
         self
@@ -153,51 +154,54 @@ impl Inner {
         pending.done.complete(reply);
     }
 
-    /// Answers a request before it takes a queue slot, when admission can.
-    /// In order: an unknown region gets the transport's typed "bad
-    /// request" error (retrying it can never succeed, so it is not a
-    /// shed); a deadline that has already expired is shed; a stopped
-    /// server sheds with [`ShedReason::ShuttingDown`]; a decide-only
-    /// request whose decision is cached is a hit, answered `ok` in place,
-    /// with no queue slot, timer entry or batcher wake-up. Dispatches and
-    /// cache misses go on to the queue.
+    /// Answers a request before it takes a queue slot, unless it is a
+    /// dispatch. In order: an unknown region gets the transport's typed
+    /// "bad request" error (retrying it can never succeed, so it is not a
+    /// shed); a zero budget, expired on arrival, is shed; a stopped
+    /// server sheds with [`ShedReason::ShuttingDown`]; a dispatch goes on
+    /// to the queue; a decide-only request is answered `ok` from the cache
+    /// or, on a miss, decided here, on the submitting thread.
     fn answer_before_queue(&self, request: &BorrowedRequest<'_>) -> Admit {
         let engine = self.dispatcher.engine();
-        let region = &*request.region;
-        if engine.database().region(region).is_none() {
+        let name = &*request.region;
+        let Some(region) = engine.resolve(name) else {
             hetsel_obs::static_counter!("hetsel.serve.bad_request").inc();
             return Admit::Reply(ServeReply::error(
                 request.id,
-                format!("unknown region {region:?}"),
+                format!("unknown region {name:?}"),
             ));
-        }
-        if request
-            .deadline
-            .is_some_and(|d| expiry(d) <= Instant::now())
-        {
-            return Admit::Reply(self.shed_reply(request.id, region, ShedReason::DeadlineExpired));
+        };
+        // Only a zero budget has run out on arrival; any other gets its
+        // chance, and a decision's is checked again when it returns.
+        if request.deadline.is_some_and(|d| d.is_zero()) {
+            return Admit::Reply(self.shed_reply(request.id, name, ShedReason::DeadlineExpired));
         }
         // Relaxed: the flag guards no other data. A caller that saw
         // `shutdown` return is ordered after the store by that return.
         if self.closed.load(Ordering::Relaxed) {
-            return Admit::Reply(self.shed_reply(request.id, region, ShedReason::ShuttingDown));
+            return Admit::Reply(self.shed_reply(request.id, name, ShedReason::ShuttingDown));
         }
         if request.dispatch {
             return Admit::Queue;
         }
+        let expires = request.deadline.map(expiry);
         let binding = &request.binding;
-        match engine.cached_parts(
-            region,
-            |name| binding.get(name),
-            request.policy_override,
-            request.deadline,
-        ) {
-            Some(decision) => {
+        let miss = match engine.lookup(region, |p| binding.get(p), request.policy_override) {
+            Lookup::Hit(decision) => {
                 hetsel_obs::static_counter!("hetsel.serve.admission_hit").inc();
-                Admit::Hit(decision)
+                return Admit::Decided(decision);
             }
-            None => Admit::Queue,
+            Lookup::Miss(miss) => miss,
+        };
+        hetsel_obs::static_counter!("hetsel.serve.admission_miss").inc();
+        let decision = engine.decide_miss(miss, &binding.to_binding());
+        if expires.is_some_and(|e| e <= Instant::now()) {
+            // The budget ran out during evaluation: the shed the timer
+            // would have sent. The decision stays cached for the retry.
+            hetsel_obs::static_counter!("hetsel.serve.late_result").inc();
+            return Admit::Reply(self.shed_reply(request.id, name, ShedReason::DeadlineExpired));
         }
+        Admit::Decided(decision)
     }
 
     /// Acts on a queue verdict: arms the deadline timer for an admitted
@@ -218,12 +222,12 @@ impl Inner {
 
 /// What admission made of one request.
 pub(crate) enum Admit {
-    /// Answered without the engine's work: an error or a shed.
+    /// Answered without a decision: an error or a shed.
     Reply(ServeReply),
-    /// A decide-only request whose decision is cached: an `ok` reply with
-    /// this decision.
-    Hit(Decision),
-    /// A cache miss or a dispatch, for the queue.
+    /// A decide-only request, decided from the cache or on the spot: an
+    /// `ok` reply with this decision.
+    Decided(Decision),
+    /// A dispatch, for the queue.
     Queue,
 }
 
@@ -240,10 +244,10 @@ impl ServerHandle {
         self.inner.answer_before_queue(request)
     }
 
-    /// Queues the requests admission sent on, in order, under one queue
-    /// lock, so the batcher evaluates them together; arms the deadline
-    /// timer for each, and sheds those past the queue's free space with
-    /// [`ShedReason::QueueFull`]. Takes no lock for an empty burst.
+    /// Queues the dispatches admission sent on, in order, under one queue
+    /// lock; arms the deadline timer for each, and sheds those past the
+    /// queue's free space with [`ShedReason::QueueFull`]. Takes no lock
+    /// for an empty burst.
     pub(crate) fn enqueue(&self, queued: &[Arc<PendingRequest>]) {
         if queued.is_empty() {
             return;
@@ -267,7 +271,7 @@ impl ServerHandle {
     fn admit_owned(&self, serve: ServeRequest) -> (Arc<PendingRequest>, bool) {
         let reply = match self.admit(&BorrowedRequest::from(&serve)) {
             Admit::Reply(reply) => Some(reply),
-            Admit::Hit(decision) => Some(ServeReply::ok(serve.id, &decision, false, None)),
+            Admit::Decided(decision) => Some(ServeReply::ok(serve.id, &decision, false, None)),
             Admit::Queue => None,
         };
         let pending = Arc::new(PendingRequest::new(serve));
@@ -281,22 +285,22 @@ impl ServerHandle {
     }
 
     /// Admits `serve` (or answers or refuses it), returning the pending
-    /// request to wait on. Admission arms the deadline timer for queued
-    /// deadline-carrying requests. The reply slot is *already completed*
-    /// when admission answered the request itself — a cached decide-only
-    /// request gets its `ok` reply, a full queue sheds with
-    /// [`ShedReason::QueueFull`], an already-expired deadline with
-    /// [`ShedReason::DeadlineExpired`], a stopped server with
-    /// [`ShedReason::ShuttingDown`], an unknown region errors — so
-    /// callers can unconditionally `wait()`.
+    /// request to wait on. A decide-only request is decided before this
+    /// returns: its reply slot is *already completed*, `ok` or, when its
+    /// budget ran out (zero on arrival, or while it was evaluated),
+    /// [`ShedReason::DeadlineExpired`]. So is a refused request's — a full
+    /// queue sheds a dispatch with [`ShedReason::QueueFull`], a stopped
+    /// server sheds with [`ShedReason::ShuttingDown`], an unknown region
+    /// errors. Admission arms the deadline timer for a queued
+    /// deadline-carrying dispatch. Callers can unconditionally `wait()`.
     pub fn submit(&self, serve: ServeRequest) -> Arc<PendingRequest> {
         self.submit_all(std::iter::once(serve))
             .pop()
             .expect("one pending request per submitted request")
     }
 
-    /// As [`ServerHandle::submit`], but blocks for queue space instead of
-    /// shedding (backpressure). Still sheds with
+    /// As [`ServerHandle::submit`], but a dispatch blocks for queue space
+    /// instead of shedding (backpressure). Still sheds with
     /// [`ShedReason::ShuttingDown`] if the server stops while waiting.
     pub fn submit_wait(&self, serve: ServeRequest) -> Arc<PendingRequest> {
         let inner = &self.inner;
@@ -309,11 +313,10 @@ impl ServerHandle {
         pending
     }
 
-    /// As [`ServerHandle::submit`] for a whole burst. What admission does
-    /// not answer itself is queued under one queue lock, so the batcher
-    /// evaluates it together; a burst admission answers whole takes no
-    /// queue lock. Returns one pending request per input, in input order;
-    /// requests past the queue's free space shed with
+    /// As [`ServerHandle::submit`] for a whole burst. Its dispatches are
+    /// queued under one queue lock; a burst without one takes no queue
+    /// lock. Returns one pending request per input, in input order;
+    /// dispatches past the queue's free space shed with
     /// [`ShedReason::QueueFull`].
     pub fn submit_all(
         &self,
@@ -352,15 +355,15 @@ impl ServerHandle {
     }
 }
 
-/// The running server: batcher thread + deadline-timer thread around a
-/// [`Dispatcher`].
+/// The running server: dispatch-executor thread + deadline-timer thread
+/// around a [`Dispatcher`].
 pub struct DecisionServer {
     inner: Arc<Inner>,
-    batcher: Option<JoinHandle<()>>,
+    executor: Option<JoinHandle<()>>,
 }
 
 impl DecisionServer {
-    /// Starts the batcher and timer threads over `dispatcher`.
+    /// Starts the executor and timer threads over `dispatcher`.
     pub fn start(dispatcher: Dispatcher, config: ServeConfig) -> DecisionServer {
         let inner = Arc::new(Inner {
             dispatcher,
@@ -377,14 +380,14 @@ impl DecisionServer {
             }
         });
         inner.timer.set(timer).ok().expect("timer set once");
-        let batch_inner = Arc::clone(&inner);
-        let batcher = std::thread::Builder::new()
-            .name("hetsel-serve-batcher".to_string())
-            .spawn(move || run_batcher(&batch_inner, config))
-            .expect("spawn batcher thread");
+        let exec_inner = Arc::clone(&inner);
+        let executor = std::thread::Builder::new()
+            .name("hetsel-serve-exec".to_string())
+            .spawn(move || run_executor(&exec_inner, config))
+            .expect("spawn executor thread");
         DecisionServer {
             inner,
-            batcher: Some(batcher),
+            executor: Some(executor),
         }
     }
 
@@ -395,12 +398,12 @@ impl DecisionServer {
         }
     }
 
-    /// The dispatcher the server evaluates through.
+    /// The dispatcher the server decides and executes through.
     pub fn dispatcher(&self) -> &Dispatcher {
         &self.inner.dispatcher
     }
 
-    /// Stops accepting requests, sheds everything still queued with
+    /// Stops accepting requests, sheds every dispatch still queued with
     /// [`ShedReason::ShuttingDown`], and joins both threads. Every
     /// admitted request has been answered when this returns.
     pub fn shutdown(mut self) {
@@ -414,8 +417,8 @@ impl DecisionServer {
             self.inner.shed(pending, ShedReason::ShuttingDown);
         }
         self.inner.publish_depth();
-        if let Some(batcher) = self.batcher.take() {
-            let _ = batcher.join();
+        if let Some(executor) = self.executor.take() {
+            let _ = executor.join();
         }
         if let Some(timer) = self.inner.timer.get() {
             timer.shutdown();
@@ -429,58 +432,28 @@ impl Drop for DecisionServer {
     }
 }
 
-/// The batcher loop: take everything queued, evaluate it with one
-/// `decide_batch` call, answer (and optionally dispatch) every request in
-/// it.
-fn run_batcher(inner: &Arc<Inner>, config: ServeConfig) {
+/// The executor loop: take every queued dispatch (up to `max_batch`) and
+/// run each through the dispatcher, in queue order.
+fn run_executor(inner: &Inner, config: ServeConfig) {
     while let Some(batch) = inner.queue.next_batch(config.max_batch) {
         inner.publish_depth();
-        // Deadline-expired (or shutdown-shed) requests are already
-        // answered; spend no evaluation budget on them.
-        let live: Vec<&Arc<PendingRequest>> = batch.iter().filter(|p| !p.done.is_done()).collect();
-        hetsel_obs::static_histogram!("hetsel.serve.window.batch").record(live.len() as u64);
-        if live.is_empty() {
-            continue;
-        }
-        // Strip deadlines: the timer owns them. Cloning here is fine —
-        // the batcher amortises it over the batch, far off the engine's
-        // zero-alloc hot path.
-        let requests: Vec<DecisionRequest> = live
-            .iter()
-            .map(|p| p.serve.request.clone().without_deadline())
-            .collect();
-        let decisions = inner.dispatcher.engine().decide_batch(&requests);
-        for ((pending, request), decision) in live.iter().zip(&requests).zip(decisions) {
-            let reply = match decision {
-                None => ServeReply::error(
-                    pending.serve.id,
-                    format!("unknown region {:?}", request.region()),
-                ),
-                Some(decision) => {
-                    if pending.serve.dispatch {
-                        // Dispatch re-enters the engine with the stripped
-                        // request: a warm cache hit (the batch pass above
-                        // just inserted it), then the fault-tolerant
-                        // execution path.
-                        match inner.dispatcher.dispatch(request) {
-                            Ok(outcome) => {
-                                ServeReply::ok(pending.serve.id, &decision, false, Some(&outcome))
-                            }
-                            Err(e) => {
-                                ServeReply::error(pending.serve.id, format!("dispatch failed: {e}"))
-                            }
-                        }
-                    } else {
-                        ServeReply::ok(pending.serve.id, &decision, false, None)
-                    }
-                }
+        hetsel_obs::static_histogram!("hetsel.serve.window.batch").record(batch.len() as u64);
+        for pending in &batch {
+            // Shed while it waited (deadline or shutdown): spend no
+            // execution on it.
+            if pending.done.is_done() {
+                continue;
+            }
+            let serve = &pending.serve;
+            let reply = match inner.dispatcher.dispatch(&serve.request) {
+                Ok(outcome) => ServeReply::ok(serve.id, &outcome.decision, false, Some(&outcome)),
+                Err(e) => ServeReply::error(serve.id, format!("dispatch failed: {e}")),
             };
             if pending.done.complete(reply) {
                 hetsel_obs::static_counter!("hetsel.serve.replies").inc();
             } else {
-                // The timer answered while we were evaluating; the work
-                // is not wasted — the decision is in the cache for the
-                // retry.
+                // The timer answered while it executed; the decision is
+                // in the cache for the retry.
                 hetsel_obs::static_counter!("hetsel.serve.late_result").inc();
             }
         }
@@ -490,17 +463,21 @@ fn run_batcher(inner: &Arc<Inner>, config: ServeConfig) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetsel_core::{DecisionEngine, DispatcherConfig, Platform, Selector};
+    use hetsel_core::{DecisionEngine, DecisionRequest, DispatcherConfig, Platform, Selector};
     use hetsel_polybench::{find_kernel, Dataset};
     use std::time::Duration;
 
-    fn server(config: ServeConfig) -> DecisionServer {
-        let (kernel, _) = find_kernel("gemm").unwrap();
-        let engine = DecisionEngine::new(
-            Selector::new(Platform::power9_v100()),
-            std::slice::from_ref(&kernel),
-        );
+    fn server_of(kernels: &[&str], config: ServeConfig) -> DecisionServer {
+        let kernels: Vec<_> = kernels
+            .iter()
+            .map(|name| find_kernel(name).unwrap().0)
+            .collect();
+        let engine = DecisionEngine::new(Selector::new(Platform::power9_v100()), &kernels);
         DecisionServer::start(Dispatcher::new(engine, DispatcherConfig::default()), config)
+    }
+
+    fn server(config: ServeConfig) -> DecisionServer {
+        server_of(&["gemm"], config)
     }
 
     /// A gemm request whose cache key varies with `n` (the extra binding
@@ -563,8 +540,8 @@ mod tests {
 
     #[test]
     fn expired_deadline_sheds_with_a_runnable_default() {
-        // A zero budget has expired by admission: shed before queueing,
-        // so the batcher never races the verdict.
+        // A zero budget has expired by admission: shed before the engine
+        // is consulted.
         let server = server(ServeConfig::default());
         let mut serve = gemm(64);
         serve.request = serve.request.with_deadline(Duration::ZERO);
@@ -593,16 +570,19 @@ mod tests {
             hetsel_ir::Binding::new(),
         ))
         .with_id(3);
-        // Seven requests, two refused before queueing: the five left
-        // overflow the four free slots by one, which sheds as queue_full.
+        // Eight requests: two refused before queueing, and a decide-only
+        // miss decided at admission, which takes no queue slot. The five
+        // dispatches overflow the four free slots by one, which sheds as
+        // queue_full.
         let burst = vec![
-            gemm(16).with_id(1),
+            gemm(16).with_id(1).with_dispatch(),
             expired,
             unknown,
             gemm(8).with_id(4),
-            gemm(24).with_id(5),
-            gemm(40).with_id(6),
-            gemm(48).with_id(7),
+            gemm(24).with_id(5).with_dispatch(),
+            gemm(40).with_id(6).with_dispatch(),
+            gemm(48).with_id(7).with_dispatch(),
+            gemm(56).with_id(8).with_dispatch(),
         ];
         let replies: Vec<ServeReply> = server
             .handle()
@@ -620,10 +600,11 @@ mod tests {
                 (Some(4), "ok"),
                 (Some(5), "ok"),
                 (Some(6), "ok"),
-                (Some(7), "shed"),
+                (Some(7), "ok"),
+                (Some(8), "shed"),
             ]
         );
-        match &replies[6] {
+        match &replies[7] {
             ServeReply::Shed { reason, .. } => assert_eq!(*reason, ShedReason::QueueFull),
             other => panic!("unexpected reply {other:?}"),
         }
@@ -689,7 +670,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_submitters_coalesce_and_all_get_replies() {
+    fn concurrent_submitters_all_get_replies() {
         let server = server(ServeConfig::default());
         let threads: Vec<_> = (0..8)
             .map(|t| {
@@ -706,6 +687,81 @@ mod tests {
                 assert_eq!(reply.status(), "ok");
             }
         }
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_decide_only_miss_never_waits_behind_a_dispatch() {
+        let server = server_of(&["gemm", "3dconv"], ServeConfig::default());
+        let handle = server.handle();
+        // A host-bound dispatch (tens of milliseconds in cpusim) goes to
+        // the executor first.
+        let (_, conv) = find_kernel("3dconv").unwrap();
+        let dispatch = handle.submit(
+            ServeRequest::new(DecisionRequest::new("3dconv", conv(Dataset::Benchmark)))
+                .with_id(1)
+                .with_dispatch(),
+        );
+        // A miss submitted from another thread is decided on that thread:
+        // its reply is in place when its submit returns.
+        let miss = {
+            let handle = handle.clone();
+            std::thread::spawn(move || handle.submit(gemm(4242).with_id(2)))
+                .join()
+                .unwrap()
+        };
+        assert!(miss.done.is_done(), "the miss waited for the executor");
+        assert_eq!(miss.done.wait().status(), "ok");
+        match dispatch.done.wait() {
+            ServeReply::Ok { dispatched, .. } => assert!(dispatched.is_some()),
+            other => panic!("unexpected reply {other:?}"),
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_miss_whose_budget_runs_out_while_it_is_decided_is_shed_and_cached() {
+        let server = server(ServeConfig::default());
+        let handle = server.handle();
+        let engine = server.dispatcher().engine();
+        // Not zero, so admission does not shed it on arrival, but shorter
+        // than any evaluation.
+        let mut serve = gemm(7777).with_id(3);
+        serve.request = serve.request.with_deadline(Duration::from_nanos(200));
+        let pending = handle.submit(serve);
+        assert!(pending.done.is_done());
+        match pending.done.wait() {
+            ServeReply::Shed {
+                reason, decision, ..
+            } => {
+                assert_eq!(reason, ShedReason::DeadlineExpired);
+                assert_eq!(decision.policy, "always_offload");
+            }
+            other => panic!("unexpected reply {other:?}"),
+        }
+        // It was evaluated and cached: the retry is an admission hit.
+        let stats = engine.stats();
+        assert_eq!((stats.hits, stats.misses), (0, 1));
+        let admission_hits = hetsel_obs::registry().counter("hetsel.serve.admission_hit");
+        let before = admission_hits.get();
+        let retry = handle.submit(gemm(7777).with_id(4));
+        assert!(retry.done.is_done());
+        assert_eq!(retry.done.wait().status(), "ok");
+        assert!(admission_hits.get() > before);
+        let stats = engine.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_miss_arms_no_deadline_timer() {
+        let server = server(ServeConfig::default());
+        let mut serve = gemm(8888).with_id(5);
+        serve.request = serve.request.with_deadline(Duration::from_secs(3600));
+        let pending = server.handle().submit(serve);
+        assert!(pending.done.is_done());
+        assert_eq!(pending.done.wait().status(), "ok");
+        assert_eq!(server.inner.timer.get().expect("timer runs").armed(), 0);
         server.shutdown();
     }
 }

@@ -6,13 +6,15 @@
 //! server can do better: this timer fires the moment a queued request's
 //! budget expires, completing it with a typed shed *while it is still
 //! waiting*, so the caller gets its degraded answer exactly on deadline
-//! instead of whenever the batcher happens to reach the request.
+//! instead of whenever the executor happens to reach the request. Only
+//! queued dispatches are armed: admission decides every decide-only
+//! request itself and checks its expiry when the decision returns.
 //!
 //! One thread, one `BinaryHeap<Reverse<expiry>>`, one condvar: the
 //! thread sleeps until the earliest expiry (or indefinitely when the
 //! heap is empty), pops everything due, and hands each still-unanswered
 //! request to the expiry callback supplied by the server. Requests the
-//! batcher already answered are skipped — the [`Completion`]
+//! executor already answered are skipped — the [`Completion`]
 //! first-completer-wins rule makes the race benign.
 
 use std::cmp::Reverse;
@@ -171,7 +173,7 @@ fn run(shared: &TimerShared, on_expire: &(impl Fn(&Arc<PendingRequest>) + Send +
         let mut due: Vec<Arc<PendingRequest>> = Vec::new();
         while state.heap.peek().is_some_and(|Reverse(e)| e.expires <= now) {
             let Reverse(entry) = state.heap.pop().expect("peeked entry pops");
-            // Skip requests the batcher (or shutdown) already answered.
+            // Skip requests the executor (or shutdown) already answered.
             if !entry.request.done.is_done() {
                 due.push(entry.request);
             }
@@ -215,10 +217,12 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
+    /// A pending request whose id is its deadline in nanoseconds.
     fn pending(deadline: Duration) -> Arc<PendingRequest> {
-        Arc::new(PendingRequest::new(ServeRequest::new(
-            DecisionRequest::new("gemm", Binding::new()).with_deadline(deadline),
-        )))
+        Arc::new(PendingRequest::new(
+            ServeRequest::new(DecisionRequest::new("gemm", Binding::new()).with_deadline(deadline))
+                .with_id(deadline.as_nanos() as u64),
+        ))
     }
 
     /// Waits until the timer thread sleeps for `until` (see
@@ -251,10 +255,11 @@ mod tests {
         let fired = Arc::new(Mutex::new(Vec::new()));
         let fired2 = Arc::clone(&fired);
         let timer = DeadlineTimer::start(move |req| {
+            let deadline_ns = req.serve.id.unwrap();
             fired2
                 .lock()
                 .unwrap()
-                .push(req.serve.request.deadline().unwrap());
+                .push(Duration::from_nanos(deadline_ns));
             req.done.complete(ServeReply::error(None, "expired (test)"));
         });
         // With nothing armed the thread sleeps until woken, so arming
@@ -303,7 +308,7 @@ mod tests {
         });
         let req = pending(Duration::from_millis(20));
         timer.schedule(&req);
-        // The "batcher" answers first.
+        // The "executor" answers first.
         assert!(req.done.complete(ServeReply::shed(
             None,
             ShedReason::ShuttingDown,

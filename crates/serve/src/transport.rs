@@ -14,27 +14,31 @@
 //! (`fill_buf`) and takes every complete line already buffered — at most
 //! [`MAX_IN_FLIGHT`] of them. Each line is decoded in place by
 //! [`decode_request_line`] and admitted on the spot, while its bytes are
-//! still in the read buffer: a decide-only request whose decision is
-//! cached keeps just that decision, and only a cache miss or a dispatch
-//! is copied into an owned request. The burst's misses then go to the
-//! queue together, under one queue lock. The replies are rendered in line
-//! order into one reused buffer — a cached decision by
-//! [`ServeReply::write_ok_json`], every other reply by
-//! [`ServeReply::write_json`] — and sent with one `write_all` + `flush`.
-//! A cached line costs no heap allocation at all
+//! still in the read buffer: a decide-only request is decided there, on
+//! the session's thread — from the cache, or by the models on a miss —
+//! and keeps just its decision; only a dispatch is copied into an owned
+//! request. The burst's dispatches then go to the queue together, under
+//! one queue lock. The replies are rendered in line order into one reused
+//! buffer — a decision by [`ServeReply::write_ok_json`], every other reply
+//! by [`ServeReply::write_json`] — and sent with one `write_all` +
+//! `flush`, so a decision that follows a dispatch still leaves after the
+//! dispatch's reply. A cached line costs no heap allocation at all
 //! (`tests/cached_line_allocs.rs`).
 //!
 //! A client with one request in flight gets one reply per request, as with
 //! a line-at-a-time loop; a client that pipelines gets its buffered lines
-//! evaluated as one batch. The transport never blocks on a read while it
+//! answered with one write. The transport never blocks on a read while it
 //! holds unwritten replies, adds no threads, and never holds more than
-//! [`MAX_LINE_BYTES`] of an unfinished line. On TCP, a write that stalls
-//! for [`WRITE_TIMEOUT`] — a client that stopped reading — ends the
-//! connection; every reply of the burst being written was already
-//! complete, so nothing is left behind.
+//! [`MAX_LINE_BYTES`] of an unfinished line. On TCP, at most
+//! [`MAX_CONNECTIONS`] connections are served at once, each on its own
+//! thread; one more gets a `too_many_connections` error line and is
+//! closed. A write that stalls for [`WRITE_TIMEOUT`] — a client that
+//! stopped reading — ends the connection; every reply of the burst being
+//! written was already complete, so nothing is left behind.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -60,6 +64,17 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 /// reading for longer is disconnected (`hetsel.serve.conn.write_timeout`),
 /// so its connection thread does not block forever.
 pub const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Most TCP connections served at once. One more gets one
+/// `too_many_connections` error line (`"id":null`) and is closed, counted
+/// in `hetsel.serve.conn.refused`. Each connection is a thread, and an
+/// idle one costs ≈19 KB of RSS (4,000 idle connections took a 4.2 MB
+/// server to 78.7 MB), so a full house adds ≈5 MB, about the server's own
+/// working set, and holds 512 file descriptors (two per connection), half
+/// the usual soft limit of 1,024. It also bounds how many decide-only
+/// misses are evaluated at once: a connection evaluates its lines one at
+/// a time.
+pub const MAX_CONNECTIONS: usize = 256;
 
 /// What one transport session processed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -102,13 +117,13 @@ pub fn serve_lines(
 
 /// What the burst holds for one line until it is sent.
 enum Slot {
-    /// Answered without the batcher: a line that is not a request, or an
+    /// Answered without a decision: a line that is not a request, or an
     /// error or shed from admission.
     Reply(ServeReply),
-    /// A decide-only request answered from the decision cache: its id and
-    /// the cached decision, rendered when the burst is sent.
-    Hit(Option<u64>, Decision),
-    /// Sent on to the batcher: the next request in `queued`.
+    /// A decide-only request decided at admission: its id and the
+    /// decision, rendered when the burst is sent.
+    Decided(Option<u64>, Decision),
+    /// A dispatch sent on to the executor: the next request in `queued`.
     Queued,
 }
 
@@ -117,7 +132,7 @@ struct Burst<'h> {
     handle: &'h ServerHandle,
     /// One entry per non-blank line of the burst, in order.
     slots: Vec<Slot>,
-    /// The burst's cache misses and dispatches, in line order.
+    /// The burst's dispatches, in line order.
     queued: Vec<Arc<PendingRequest>>,
     /// The start of a line whose newline has not been read yet.
     partial: Vec<u8>,
@@ -217,7 +232,7 @@ impl<'h> Burst<'h> {
                     self.stats.lines += 1;
                     let slot = match self.handle.admit(&request) {
                         Admit::Reply(reply) => Slot::Reply(reply),
-                        Admit::Hit(decision) => Slot::Hit(request.id, decision),
+                        Admit::Decided(decision) => Slot::Decided(request.id, decision),
                         Admit::Queue => {
                             let pending = PendingRequest::new(request.into_owned());
                             self.queued.push(Arc::new(pending));
@@ -242,8 +257,8 @@ impl<'h> Burst<'h> {
         self.slots.push(Slot::Reply(reply));
     }
 
-    /// Queues the burst's misses together, renders every reply in line
-    /// order — waiting for the batcher where it must — and sends them all
+    /// Queues the burst's dispatches together, renders every reply in line
+    /// order — waiting for the executor where it must — and sends them all
     /// in one write.
     fn send(&mut self, writer: &mut impl Write) -> io::Result<()> {
         if self.slots.is_empty() {
@@ -257,7 +272,7 @@ impl<'h> Burst<'h> {
         for slot in self.slots.drain(..) {
             match slot {
                 Slot::Reply(reply) => render(out, &mut stats.errors, &reply),
-                Slot::Hit(id, decision) => {
+                Slot::Decided(id, decision) => {
                     ServeReply::write_ok_json(out, id, &decision);
                     out.push(b'\n');
                 }
@@ -285,25 +300,107 @@ fn render(out: &mut Vec<u8>, errors: &mut u64, reply: &ServeReply) {
     out.push(b'\n');
 }
 
-/// Accept loop: serves every connection on `listener` in its own thread
-/// (each connection runs [`serve_lines`] over the socket, with writes
-/// bounded by [`WRITE_TIMEOUT`]). A failed accept is logged, counted in
-/// `hetsel.serve.accept_error` and skipped; the loop never returns.
+/// Accept loop: serves every connection on `listener` in its own thread,
+/// at most [`MAX_CONNECTIONS`] at once (each runs [`serve_lines`] over
+/// the socket, with writes bounded by [`WRITE_TIMEOUT`]). A failed accept
+/// is logged, counted in `hetsel.serve.accept_error` and skipped; the loop
+/// never returns.
 pub fn serve_tcp(listener: TcpListener, handle: ServerHandle) -> ! {
+    accept_loop(
+        listener,
+        &handle,
+        &Connections::new(MAX_CONNECTIONS),
+        WRITE_TIMEOUT,
+    )
+}
+
+/// [`serve_tcp`] with its cap and write timeout as arguments.
+fn accept_loop(
+    listener: TcpListener,
+    handle: &ServerHandle,
+    connections: &Arc<Connections>,
+    write_timeout: Duration,
+) -> ! {
     loop {
         let spawned = listener.accept().and_then(|(stream, _)| {
+            let Some(slot) = connections.try_open() else {
+                connections.refuse(stream);
+                return Ok(());
+            };
             let handle = handle.clone();
             std::thread::Builder::new()
                 .name("hetsel-serve-conn".to_string())
                 .spawn(move || {
-                    let _ = serve_connection(&handle, stream, WRITE_TIMEOUT);
+                    let _slot = slot;
+                    let _ = serve_connection(&handle, stream, write_timeout);
                 })
+                .map(drop)
         });
         if let Err(e) = spawned {
             hetsel_obs::static_counter!("hetsel.serve.accept_error").inc();
             eprintln!("[hetsel-serve] accept failed: {e}");
             std::thread::sleep(ACCEPT_BACKOFF);
         }
+    }
+}
+
+/// The open connections of one accept loop, against its cap. The gauge
+/// `hetsel.serve.conn.open` counts them.
+struct Connections {
+    open: AtomicUsize,
+    cap: usize,
+}
+
+/// A connection's place under the cap, given back when dropped.
+struct ConnectionSlot(Arc<Connections>);
+
+impl Connections {
+    fn new(cap: usize) -> Arc<Connections> {
+        Arc::new(Connections {
+            open: AtomicUsize::new(0),
+            cap,
+        })
+    }
+
+    /// Takes a place for one more connection, if the cap allows it.
+    fn try_open(self: &Arc<Self>) -> Option<ConnectionSlot> {
+        self.open
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |open| {
+                (open < self.cap).then_some(open + 1)
+            })
+            .ok()?;
+        hetsel_obs::static_gauge!("hetsel.serve.conn.open").add(1);
+        Some(ConnectionSlot(Arc::clone(self)))
+    }
+
+    /// Turns away a connection past the cap: one typed error line, then
+    /// the socket closes. The line fits a fresh socket's send buffer, so
+    /// writing it never blocks the accept loop.
+    fn refuse(&self, mut stream: TcpStream) {
+        hetsel_obs::static_counter!("hetsel.serve.conn.refused").inc();
+        let mut line = Vec::new();
+        ServeReply::error(
+            None,
+            format!(
+                "too_many_connections: the server serves at most {} connections at once",
+                self.cap
+            ),
+        )
+        .write_json(&mut line);
+        line.push(b'\n');
+        let _ = stream.write_all(&line);
+    }
+
+    #[cfg(test)]
+    fn open(&self) -> usize {
+        self.open.load(Ordering::Acquire)
+    }
+}
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0.open.fetch_sub(1, Ordering::AcqRel);
+        hetsel_obs::static_gauge!("hetsel.serve.conn.open").add(-1);
     }
 }
 
@@ -561,6 +658,91 @@ mod tests {
         );
         assert_eq!(timeouts.get(), before + 1);
         drop(client);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_connection_past_the_cap_is_refused_until_a_slot_frees() {
+        let server = server();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let connections = Connections::new(2);
+        {
+            let handle = server.handle();
+            let connections = Arc::clone(&connections);
+            std::thread::spawn(move || accept_loop(listener, &handle, &connections, WRITE_TIMEOUT));
+        }
+        let refused = hetsel_obs::registry().counter("hetsel.serve.conn.refused");
+        let before = refused.get();
+        let round_trip = |stream: &TcpStream, id: u64| {
+            let mut writer = stream;
+            writer
+                .write_all(format!("{}\n", request_line(id)).as_bytes())
+                .unwrap();
+            let mut line = String::new();
+            BufReader::new(stream).read_line(&mut line).unwrap();
+            serde_json::from_str::<ServeReply>(&line).unwrap()
+        };
+        // Two connections fill the cap; a reply on each shows both served.
+        let first = TcpStream::connect(addr).unwrap();
+        let second = TcpStream::connect(addr).unwrap();
+        assert_eq!(round_trip(&first, 1).id(), Some(1));
+        assert_eq!(round_trip(&second, 2).id(), Some(2));
+        // The third gets one typed line, then EOF.
+        let mut third = BufReader::new(TcpStream::connect(addr).unwrap());
+        let mut line = String::new();
+        third.read_line(&mut line).unwrap();
+        match serde_json::from_str::<ServeReply>(&line).unwrap() {
+            ServeReply::Error { id, message } => {
+                assert_eq!(id, None);
+                assert!(message.starts_with("too_many_connections: "), "{message}");
+            }
+            other => panic!("unexpected reply {other:?}"),
+        }
+        line.clear();
+        assert_eq!(third.read_line(&mut line).unwrap(), 0, "{line}");
+        assert!(refused.get() > before);
+        // Closing one frees its slot once its thread has read the EOF; a
+        // new connection is then served.
+        drop(first);
+        let patience = std::time::Instant::now() + Duration::from_secs(30);
+        while connections.open() > 1 {
+            assert!(
+                std::time::Instant::now() < patience,
+                "the slot was never freed"
+            );
+            std::thread::yield_now();
+        }
+        let fourth = TcpStream::connect(addr).unwrap();
+        assert_eq!(round_trip(&fourth, 4).status(), "ok");
+        drop((second, fourth));
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_decision_after_a_dispatch_leaves_after_its_reply() {
+        let server = server();
+        let (_, binding) = find_kernel("gemm").unwrap();
+        let dispatch = ServeRequest::new(DecisionRequest::new("gemm", binding(Dataset::Benchmark)))
+            .with_id(1)
+            .with_dispatch();
+        let input = format!(
+            "{}\n{}\n",
+            serde_json::to_string(&dispatch).unwrap(),
+            request_line(2)
+        );
+        let mut out = Vec::new();
+        serve_lines(&server.handle(), Cursor::new(input), &mut out).unwrap();
+        let replies = replies(&out);
+        assert_eq!(replies.len(), 2);
+        match &replies[0] {
+            ServeReply::Ok { id, dispatched, .. } => {
+                assert_eq!(*id, Some(1));
+                assert!(dispatched.is_some());
+            }
+            other => panic!("unexpected reply {other:?}"),
+        }
+        assert_eq!(replies[1].id(), Some(2));
         server.shutdown();
     }
 }

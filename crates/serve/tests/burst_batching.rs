@@ -1,6 +1,7 @@
 //! Burst framing end to end: a client that pipelines gets every reply, in
-//! order; its cache misses are evaluated in batches rather than one by
-//! one, and its cached lines are answered at admission without a batch.
+//! order, one write per burst. Its decide-only lines, cache misses and
+//! hits alike, are decided at admission without a batch; its dispatch
+//! lines reach the executor a burst at a time.
 //!
 //! This is its own test binary on purpose: it reads the process-wide
 //! `hetsel.serve.window.batch` histogram, which no other test here feeds.
@@ -34,7 +35,7 @@ impl Write for CountingWriter {
 }
 
 /// Serves `input` as one pipelined session; returns the replies' ids (all
-/// of them `ok`), the flush count, and how many batches the batcher ran.
+/// of them `ok`), the flush count, and how many batches the executor ran.
 fn serve_burst(server: &DecisionServer, input: &str) -> (Vec<Option<u64>>, usize, u64) {
     let batches = hetsel_obs::registry().histogram("hetsel.serve.window.batch");
     let before = batches.count();
@@ -68,34 +69,50 @@ fn sixty_four_pipelined_lines_get_in_order_replies_in_few_batches() {
         Dispatcher::new(engine, DispatcherConfig::default()),
         ServeConfig::default(),
     );
-    // Distinct `n` per line: every line is a cache miss the first time.
-    let input: String = (0..64u64)
-        .map(|id| {
-            let request = DecisionRequest::new(
-                "gemm",
-                binding(Dataset::Benchmark).with("n", 64 + id as i64),
-            );
-            let line = serde_json::to_string(&ServeRequest::new(request).with_id(id)).unwrap();
-            format!("{line}\n")
-        })
-        .collect();
+    // Distinct `n` per line from `first_n` on: every line is a cache miss
+    // the first time.
+    let lines = |first_n: i64, dispatch: bool| -> String {
+        (0..64u64)
+            .map(|id| {
+                let request = DecisionRequest::new(
+                    "gemm",
+                    binding(Dataset::Benchmark).with("n", first_n + id as i64),
+                );
+                let mut serve = ServeRequest::new(request).with_id(id);
+                if dispatch {
+                    serve = serve.with_dispatch();
+                }
+                format!("{}\n", serde_json::to_string(&serve).unwrap())
+            })
+            .collect()
+    };
     let in_order: Vec<Option<u64>> = (0..64).map(Some).collect();
-    // One burst per MAX_IN_FLIGHT lines, each admitted under one queue
-    // lock and so drained as one batch.
+    // One burst, and so one write, per MAX_IN_FLIGHT lines.
     let bursts = 64 / MAX_IN_FLIGHT;
 
-    let (ids, flushes, batched) = serve_burst(&server, &input);
+    // Decide-only misses are decided at admission, on the session's
+    // thread: the executor never runs. (One test function on purpose: the
+    // batch histogram is process-wide.)
+    let misses = lines(64, false);
+    let (ids, flushes, batched) = serve_burst(&server, &misses);
     assert_eq!(ids, in_order);
     assert_eq!(flushes, bursts);
-    assert_eq!(batched, bursts as u64, "{batched} batches for 64 misses");
+    assert_eq!(batched, 0, "{batched} batches for 64 misses");
 
-    // The same lines again are all cached: admission answers every one in
-    // place, so the bursts still leave as four writes but the batcher
-    // never runs. (Same test function on purpose: the batch histogram is
-    // process-wide.)
-    let (ids, flushes, batched) = serve_burst(&server, &input);
-    server.shutdown();
+    // The same lines again are all cached: answered at admission too.
+    let (ids, flushes, batched) = serve_burst(&server, &misses);
     assert_eq!(ids, in_order);
     assert_eq!(flushes, bursts);
     assert_eq!(batched, 0, "{batched} batches for 64 cached lines");
+
+    // Dispatch lines: each burst's dispatches are queued under one queue
+    // lock, so the executor takes them as one batch.
+    let (ids, flushes, batched) = serve_burst(&server, &lines(1024, true));
+    server.shutdown();
+    assert_eq!(ids, in_order);
+    assert_eq!(flushes, bursts);
+    assert_eq!(
+        batched, bursts as u64,
+        "{batched} batches for 64 dispatches"
+    );
 }

@@ -20,12 +20,13 @@
 //! reproduces the classic two-device pair bit for bit (property-tested in
 //! `crates/core/tests/fleet_equivalence.rs`).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::platform::Platform;
 use crate::selector::Device;
 use hetsel_gpusim::GpuDescriptor;
 use hetsel_models::GpuModelParams;
+use hetsel_obs::Counter;
 
 /// Dense identifier of one device in a [`Fleet`]: the host is always
 /// [`DeviceId::HOST`] (0) and the i-th registered accelerator is `i + 1`.
@@ -97,6 +98,7 @@ pub struct AcceleratorDevice {
     /// Interned device label (`Arc` so decisions, metrics and reports share
     /// one allocation — and one spelling).
     label: Arc<str>,
+    decisions: DecisionCounter,
     /// Hardware model for the timing simulator (ground truth).
     pub descriptor: GpuDescriptor,
     /// Analytical GPU model parameters (paper Table III) for this device.
@@ -118,6 +120,24 @@ impl AcceleratorDevice {
     }
 }
 
+/// A device's `hetsel.core.decisions.<label>` counter, taken from the
+/// registry on the first decision for the device and kept beside its
+/// label, so a decision counts itself without building the name or
+/// searching the registry.
+#[derive(Debug, Clone, Default)]
+struct DecisionCounter(OnceLock<Arc<Counter>>);
+
+impl DecisionCounter {
+    fn get(&self, label: &str) -> &Counter {
+        self.0.get_or_init(|| {
+            hetsel_obs::registry().counter(&hetsel_obs::metrics::device_metric_name(
+                "hetsel.core.decisions",
+                label,
+            ))
+        })
+    }
+}
+
 /// A registered set of execution targets: one host plus zero or more
 /// accelerators, each under a unique interned label.
 ///
@@ -136,6 +156,7 @@ impl AcceleratorDevice {
 #[derive(Debug, Clone)]
 pub struct Fleet {
     host_label: Arc<str>,
+    host_decisions: DecisionCounter,
     host_capacity: u32,
     accelerators: Vec<AcceleratorDevice>,
 }
@@ -145,6 +166,7 @@ impl Fleet {
     pub fn host_only() -> Fleet {
         Fleet {
             host_label: Arc::from("host"),
+            host_decisions: DecisionCounter::default(),
             host_capacity: u32::MAX,
             accelerators: Vec::new(),
         }
@@ -180,6 +202,7 @@ impl Fleet {
         );
         self.accelerators.push(AcceleratorDevice {
             label: Arc::from(label),
+            decisions: DecisionCounter::default(),
             descriptor,
             model,
             capacity: u32::MAX,
@@ -216,6 +239,7 @@ impl Fleet {
         let accel = self.accelerators.iter().find(|a| &*a.label == label)?;
         Some(Fleet {
             host_label: self.host_label.clone(),
+            host_decisions: self.host_decisions.clone(),
             host_capacity: self.host_capacity,
             accelerators: vec![accel.clone()],
         })
@@ -300,6 +324,16 @@ impl Fleet {
             Some(&self.host_label)
         } else {
             self.accelerator(id).map(|a| &a.label)
+        }
+    }
+
+    /// The counter of `id`'s decisions, `hetsel.core.decisions.<label>`,
+    /// or `None` for an unregistered id.
+    pub(crate) fn decisions_counter(&self, id: DeviceId) -> Option<&Counter> {
+        if id.is_host() {
+            Some(self.host_decisions.get(&self.host_label))
+        } else {
+            self.accelerator(id).map(|a| a.decisions.get(&a.label))
         }
     }
 

@@ -26,6 +26,7 @@ pub mod program;
 pub mod selector;
 pub mod snapshot;
 pub mod split;
+pub mod wire;
 
 pub use attributes::{
     AccessExport, AttributeDatabase, CompiledModelRef, DatabaseExport, RegionAttributes,
@@ -47,9 +48,9 @@ pub use history::AdaptiveSelector;
 pub use platform::Platform;
 pub use program::{plan_program, ProgramPlan};
 pub use selector::{
-    choose_among, choose_device, geomean, CacheMiss, Decision, DecisionCacheStats, DecisionEngine,
-    DecisionRequest, Device, DeviceChoice, Evaluation, Lookup, Measured, ModelSource, Policy,
-    ResolvedRegion, Selector, DEFAULT_DECISION_CACHE, DEFAULT_DECISION_SHARDS,
+    choose_among, choose_device, geomean, CacheMiss, CachedDecision, Decision, DecisionCacheStats,
+    DecisionEngine, DecisionRequest, Device, DeviceChoice, Evaluation, Lookup, Measured,
+    ModelSource, Policy, ResolvedRegion, Selector, DEFAULT_DECISION_CACHE, DEFAULT_DECISION_SHARDS,
 };
 pub use snapshot::SnapshotError;
 pub use split::{best_split, SplitDecision};

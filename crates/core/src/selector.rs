@@ -18,9 +18,10 @@ use crate::attributes::{AttributeDatabase, RegionAttributes, RegionId};
 use crate::calib::{BindingClass, CalibrationMode, CalibrationTag, Calibrator};
 use crate::fleet::{DeviceId, Fleet};
 use crate::platform::Platform;
+use crate::wire::DecisionFields;
 use hetsel_ir::{Binding, Kernel};
 use hetsel_models::{CoalescingMode, CostModel, CpuCostModel, GpuCostModel, ModelError, TripMode};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use rayon::prelude::*;
 
 /// An execution target.
@@ -702,12 +703,17 @@ impl Selector {
                 (Device::Gpu, id, label)
             }
         };
-        hetsel_obs::registry()
-            .counter(&hetsel_obs::metrics::device_metric_name(
-                "hetsel.core.decisions",
-                &device_name,
-            ))
-            .inc();
+        match self.fleet.decisions_counter(device_id) {
+            Some(decisions) => decisions.inc(),
+            // The detached label of a wide outcome slice on a host-only
+            // fleet.
+            None => hetsel_obs::registry()
+                .counter(&hetsel_obs::metrics::device_metric_name(
+                    "hetsel.core.decisions",
+                    &device_name,
+                ))
+                .inc(),
+        }
         if policy == Policy::ModelDriven {
             // Count fallback reasons by variant: one tick per failed model
             // (host and every consulted accelerator), under
@@ -1411,15 +1417,21 @@ const NIL: u32 = u32::MAX;
 struct LruNode {
     key: CacheKey,
     decision: Decision,
+    /// The decision's JSON object ([`DecisionFields::write_json`]), sized
+    /// to fit: rendered on the entry's first [`CachedDecision::json`] and
+    /// dropped with the decision it renders, when a refresh replaces it or
+    /// the slot is reused for another key.
+    json: Option<Box<[u8]>>,
     prev: u32,
     next: u32,
 }
 
 /// A bounded LRU map backed by an intrusive doubly linked list threaded
-/// through a slab of nodes: a hit relinks two `u32` indices and clones the
-/// cached decision — no key clone, no queue record, no allocation at all —
-/// and an insert at capacity reuses the evicted node's slot, so a full
-/// cache stops allocating entirely. Eviction order is exact LRU.
+/// through a slab of nodes: a hit relinks two `u32` indices — no key
+/// clone, no queue record, no allocation at all — and an insert at
+/// capacity reuses the evicted node's slot, so a full cache stops
+/// allocating entirely (each entry's rendering aside, made once per
+/// entry). Eviction order is exact LRU.
 #[derive(Debug)]
 struct LruCache {
     capacity: usize,
@@ -1483,19 +1495,27 @@ impl LruCache {
         }
     }
 
-    fn get(&mut self, key: &CacheKey) -> Option<Decision> {
+    /// Finds `key`'s node and makes it the most recently used.
+    fn touch(&mut self, key: &CacheKey) -> Option<u32> {
         let idx = *self.map.get(key)?;
         if self.head != idx {
             self.unlink(idx);
             self.push_front(idx);
         }
+        Some(idx)
+    }
+
+    fn get(&mut self, key: &CacheKey) -> Option<Decision> {
+        let idx = self.touch(key)?;
         Some(self.nodes[idx as usize].decision.clone())
     }
 
     fn insert(&mut self, key: CacheKey, decision: Decision) {
         if let Some(&idx) = self.map.get(&key) {
             // Same key: refresh the value in place and the recency.
-            self.nodes[idx as usize].decision = decision;
+            let n = &mut self.nodes[idx as usize];
+            n.decision = decision;
+            n.json = None;
             if self.head != idx {
                 self.unlink(idx);
                 self.push_front(idx);
@@ -1519,6 +1539,7 @@ impl LruCache {
                 let n = &mut self.nodes[idx as usize];
                 n.key = key.clone();
                 n.decision = decision;
+                n.json = None;
                 idx
             }
             None => {
@@ -1526,6 +1547,7 @@ impl LruCache {
                 self.nodes.push(LruNode {
                     key: key.clone(),
                     decision,
+                    json: None,
                     prev: NIL,
                     next: NIL,
                 });
@@ -1671,10 +1693,45 @@ pub struct ResolvedRegion<'e> {
 /// What a [`DecisionEngine::lookup`] found.
 #[derive(Debug)]
 pub enum Lookup<'e> {
-    /// The cached decision.
-    Hit(Decision),
+    /// The cache entry holding the decision.
+    Hit(CachedDecision<'e>),
     /// Nothing cached under the probed key.
     Miss(CacheMiss<'e>),
+}
+
+/// The decision-cache entry a [`DecisionEngine::lookup`] hit, lent under
+/// its shard's lock: drop it promptly, and probe or decide nothing else
+/// through the engine while holding it.
+pub struct CachedDecision<'e> {
+    lru: MutexGuard<'e, LruCache>,
+    idx: u32,
+}
+
+impl CachedDecision<'_> {
+    /// The cached decision.
+    pub fn decision(&self) -> &Decision {
+        &self.lru.nodes[self.idx as usize].decision
+    }
+
+    /// The decision's JSON object, as [`DecisionFields::write_json`]
+    /// writes it: rendered on the entry's first call and kept with the
+    /// entry, so every later hit on it formats nothing.
+    pub fn json(&mut self) -> &[u8] {
+        let node = &mut self.lru.nodes[self.idx as usize];
+        node.json.get_or_insert_with(|| {
+            let mut json = Vec::with_capacity(256);
+            DecisionFields::from(&node.decision).write_json(&mut json);
+            json.into_boxed_slice()
+        })
+    }
+}
+
+impl std::fmt::Debug for CachedDecision<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("CachedDecision")
+            .field(self.decision())
+            .finish()
+    }
 }
 
 /// A [`DecisionEngine::lookup`] that missed: the key it probed and the
@@ -1801,7 +1858,7 @@ impl DecisionEngine {
     /// caller is observable by construction.
     fn decide_cached(&self, key: CacheKey, eval: impl FnOnce() -> Decision) -> Decision {
         if let Some(cached) = self.probe(&key) {
-            return cached;
+            return cached.decision().clone();
         }
         self.insert_miss(key, eval())
     }
@@ -1828,13 +1885,14 @@ impl DecisionEngine {
     }
 
     /// Looks `key` up without evaluating anything. A hit is counted and
-    /// flight-recorded; a miss leaves the cache and its statistics as they
-    /// were.
-    fn probe(&self, key: &CacheKey) -> Option<Decision> {
+    /// flight-recorded, and its entry lent under the shard lock; a miss
+    /// leaves the cache and its statistics as they were.
+    fn probe(&self, key: &CacheKey) -> Option<CachedDecision<'_>> {
         let shard = self.cache.shard(key);
-        let cached = shard.lru.lock().get(key)?;
-        note_hit(shard, &cached, key.hash);
-        Some(cached)
+        let mut lru = shard.lru.lock();
+        let idx = lru.touch(key)?;
+        note_hit(shard, &lru.nodes[idx as usize].decision, key.hash);
+        Some(CachedDecision { lru, idx })
     }
 
     /// Answers `request` from the cache alone: the decision
@@ -1871,7 +1929,7 @@ impl DecisionEngine {
             return None;
         }
         match self.lookup(self.resolve(region)?, binding, policy_override) {
-            Lookup::Hit(decision) => Some(decision),
+            Lookup::Hit(cached) => Some(cached.decision().clone()),
             Lookup::Miss(_) => None,
         }
     }
@@ -1889,8 +1947,10 @@ impl DecisionEngine {
     /// as [`DecisionEngine::decide_request`] keys it: `binding` returns a
     /// parameter's value by name, and `policy_override` picks the cache
     /// partition. A hit is counted and flight-recorded as a hit of
-    /// `decide_request`, and allocates nothing. A miss evaluates, inserts
-    /// and counts nothing; it hands back the key it probed, for
+    /// `decide_request`, allocates nothing, and lends the caller the entry
+    /// under its shard's lock ([`CachedDecision`]): a caller clones the
+    /// decision only if it wants one. A miss evaluates, inserts and counts
+    /// nothing; it hands back the key it probed, for
     /// [`DecisionEngine::decide_miss`].
     pub fn lookup<'e>(
         &'e self,
@@ -1907,7 +1967,7 @@ impl DecisionEngine {
             binding,
         );
         match self.probe(&key) {
-            Some(decision) => Lookup::Hit(decision),
+            Some(cached) => Lookup::Hit(cached),
             None => Lookup::Miss(CacheMiss {
                 key,
                 attrs: region.attrs,
@@ -2020,7 +2080,7 @@ impl DecisionEngine {
             let region = self.resolve(request.region())?;
             let binding = request.binding();
             match self.lookup(region, |p| binding.get(p), request.policy_override()) {
-                Lookup::Hit(cached) => cached,
+                Lookup::Hit(cached) => cached.decision().clone(),
                 Lookup::Miss(miss) => self.decide_miss(miss, binding),
             }
         };
@@ -2942,6 +3002,101 @@ mod tests {
             .iter()
             .any(|ev| ev.kind == hetsel_obs::EventKind::Decide && ev.region_str() == "gemm");
         assert!(seen, "override emitted no flight-recorder Decide event");
+    }
+
+    /// A decision's JSON object, as the renderer writes it.
+    fn rendered(decision: &Decision) -> Vec<u8> {
+        let mut json = Vec::new();
+        DecisionFields::from(decision).write_json(&mut json);
+        json
+    }
+
+    /// The bytes a `lookup` hit on `region` under `binding` serves; they
+    /// must render the entry's own decision.
+    fn hit_json(engine: &DecisionEngine, region: &str, binding: &Binding) -> Vec<u8> {
+        let region = engine.resolve(region).expect("known region");
+        match engine.lookup(region, |p| binding.get(p), None) {
+            Lookup::Hit(mut cached) => {
+                let json = cached.json().to_vec();
+                assert_eq!(json, rendered(cached.decision()));
+                json
+            }
+            Lookup::Miss(_) => panic!("not cached"),
+        }
+    }
+
+    #[test]
+    fn a_refreshed_entry_serves_its_new_decisions_bytes() {
+        let (k, binding) = find_kernel("gemm").unwrap();
+        let engine = engine_with(std::slice::from_ref(&k), 16);
+        let b = binding(Dataset::Test);
+        let first = engine.decide("gemm", &b).unwrap();
+        assert_eq!(hit_json(&engine, "gemm", &b), rendered(&first));
+        // Insert another decision under the cached key: the entry's
+        // decision is replaced in place, and its rendering with it.
+        let mut replaced = first.clone();
+        replaced.device = Device::Host;
+        replaced.predicted_cpu_s = first.predicted_cpu_s.map(|s| s / 3.0);
+        assert_ne!(rendered(&replaced), rendered(&first));
+        let (id, attrs) = engine.database.region_entry("gemm").unwrap();
+        let key = CacheKey::new(id, DeviceId::FLEET, OWN_POLICY, 0, attrs, |p| b.get(p));
+        engine
+            .cache
+            .shard(&key)
+            .lru
+            .lock()
+            .insert(key, replaced.clone());
+        assert_eq!(engine.stats().len, 1);
+        assert_eq!(hit_json(&engine, "gemm", &b), rendered(&replaced));
+    }
+
+    #[test]
+    fn a_reused_slot_serves_its_new_entrys_bytes() {
+        let (k, binding) = find_kernel("gemm").unwrap();
+        let engine = engine_with(std::slice::from_ref(&k), 1);
+        let (mini, test) = (binding(Dataset::Mini), binding(Dataset::Test));
+        let evicted = engine.decide("gemm", &mini).unwrap();
+        assert_eq!(hit_json(&engine, "gemm", &mini), rendered(&evicted));
+        // The one slot goes to the next key, and the rendering it held is
+        // freed with the evicted entry.
+        let next = engine.decide("gemm", &test).unwrap();
+        assert_ne!(rendered(&next), rendered(&evicted));
+        {
+            let lru = engine.cache.shards[0].lru.lock();
+            assert_eq!(lru.nodes.len(), 1, "the slot was reused");
+            assert!(lru.nodes[0].json.is_none(), "the old rendering was kept");
+        }
+        assert_eq!(hit_json(&engine, "gemm", &test), rendered(&next));
+        assert_eq!(engine.stats().evictions, 1);
+    }
+
+    #[test]
+    fn an_active_epoch_bump_serves_the_new_verdicts_bytes() {
+        let calibrator = Arc::new(Calibrator::new(crate::calib::CalibratorConfig {
+            min_samples: 1,
+            ..Default::default()
+        }));
+        let (k, binding) = find_kernel("gemm").unwrap();
+        let engine = DecisionEngine::with_capacity(
+            selector()
+                .with_calibration(CalibrationMode::Active)
+                .with_calibrator(Arc::clone(&calibrator)),
+            std::slice::from_ref(&k),
+            16,
+        );
+        let b = binding(Dataset::Benchmark);
+        let cold = engine.decide("gemm", &b).unwrap();
+        let stale = hit_json(&engine, "gemm", &b);
+        assert_eq!(stale, rendered(&cold));
+        let tag = cold.calibration.expect("active mode tags decisions");
+        let raw = tag.raw_cpu_s.expect("fully-bound gemm predicts the host");
+        calibrator.observe("gemm", "host", tag.class, raw, raw * 1.5);
+        assert!(calibrator.epoch() > 0, "the correction published");
+        let corrected = engine.decide("gemm", &b).unwrap();
+        assert!(corrected.calibration.expect("tagged").applied);
+        let fresh = hit_json(&engine, "gemm", &b);
+        assert_ne!(fresh, stale);
+        assert_eq!(fresh, rendered(&corrected));
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //! Replies go out as soon as they are decided. A decide-only request is
 //! decided at admission, on the connection's thread, and never waits
 //! behind a dispatch: a cached decision straight from the line's own
-//! bytes — decoded in place, probed and rendered without a heap
-//! allocation — and a cache miss by evaluating the models there. Only
+//! bytes — decoded in place, probed, and answered with the reply bytes
+//! its cache entry stores, without a heap allocation — and a cache miss
+//! by evaluating the models there. Only
 //! `"dispatch":true` requests go to the executor thread. A client may
 //! have up to 16 lines in flight per connection, and the lines it wrote
 //! together leave as one write. Over TCP, at most 256 connections are

@@ -19,8 +19,11 @@
 //!    transport admits each line's [`BorrowedRequest`] while the line is
 //!    still in its read buffer, so a hit is answered from borrowed bytes
 //!    with no heap allocation: no owned request, no pending request, no
-//!    reply strings — the decision is rendered straight into the reply
-//!    bytes ([`ServeReply::write_ok_json`]). Only `dispatch` requests meet
+//!    reply strings, no `Decision` clone — the reply wraps the bytes the
+//!    cache entry stores for its decision, rendered once, on the entry's
+//!    first hit ([`ServeReply::write_ok_json_rendered`]), and a miss's
+//!    decision is rendered straight into the reply bytes
+//!    ([`ServeReply::write_ok_json`]). Only `dispatch` requests meet
 //!    a bounded queue between transports and the executor. Under
 //!    overload, [`ServerHandle::submit`] sheds a dispatch with a typed
 //!    [`ShedReason`] instead of queueing unboundedly, and

@@ -29,16 +29,18 @@
 //! so a request answered from the decision cache is never copied out of
 //! the read buffer; [`parse_request_line`] is the same decode, then owned.
 //! [`ServeReply::write_json`] renders a reply straight from its fields,
-//! and [`ServeReply::write_ok_json`] renders a cached decision's `ok`
-//! reply with the same field renderer, without building the reply. The
-//! [`Deserialize`] and [`Serialize`] impls stay, as the oracles these are
-//! tested against (`tests/request_decode.rs`, `tests/reply_json.rs`) and
-//! for clients.
+//! with the engine's decision renderer
+//! ([`DecisionFields`](hetsel_core::wire::DecisionFields)) for the
+//! decision. [`ServeReply::write_ok_json_rendered`] wraps a decision
+//! already rendered — a cache entry's stored JSON — in its `ok` reply,
+//! without building the reply or formatting anything. The [`Deserialize`]
+//! and [`Serialize`] impls stay, as the oracles these are tested against
+//! (`tests/request_decode.rs`, `tests/reply_json.rs`) and for clients.
 
 use std::borrow::Cow;
-use std::io::Write;
 use std::time::Duration;
 
+use hetsel_core::wire::{write_bool, write_opt_f64, write_str, DecisionFields};
 use hetsel_core::{Decision, DecisionRequest, DispatchOutcome, Policy};
 use hetsel_ir::Binding;
 use serde::{Deserialize, Serialize, Value};
@@ -353,33 +355,8 @@ impl ReplyDecision {
     }
 }
 
-/// A decision's wire fields, borrowed from an engine [`Decision`] or from
-/// a [`ReplyDecision`]: the one projection and the one renderer both
-/// forms share.
-struct DecisionFields<'a> {
-    region: &'a str,
-    device: &'a str,
-    device_name: &'a str,
-    policy: &'a str,
-    predicted_cpu_s: Option<f64>,
-    predicted_gpu_s: Option<f64>,
-    calibrated: bool,
-}
-
-impl<'a> From<&'a Decision> for DecisionFields<'a> {
-    fn from(d: &'a Decision) -> DecisionFields<'a> {
-        DecisionFields {
-            region: &d.region,
-            device: d.device.name(),
-            device_name: &d.device_name,
-            policy: d.policy.name(),
-            predicted_cpu_s: d.predicted_cpu_s,
-            predicted_gpu_s: d.predicted_gpu_s,
-            calibrated: d.calibration.is_some_and(|t| t.applied),
-        }
-    }
-}
-
+/// The owned form's wire fields: it renders with the engine's decision
+/// renderer.
 impl<'a> From<&'a ReplyDecision> for DecisionFields<'a> {
     fn from(d: &'a ReplyDecision) -> DecisionFields<'a> {
         DecisionFields {
@@ -587,7 +564,11 @@ impl ServeReply {
                 decision,
                 degraded,
                 dispatched,
-            } => write_ok(out, *id, &decision.into(), *degraded, dispatched.as_ref()),
+            } => {
+                write_ok_head(out, *id);
+                DecisionFields::from(decision).write_json(out);
+                write_ok_tail(out, *degraded, dispatched.as_ref());
+            }
             ServeReply::Shed {
                 id,
                 reason,
@@ -615,7 +596,21 @@ impl ServeReply {
     /// renderer is [`ServeReply::write_json`]'s; `tests/reply_json.rs`
     /// holds the bytes to `serde_json::to_string` of the built reply.
     pub fn write_ok_json(out: &mut Vec<u8>, id: Option<u64>, decision: &Decision) {
-        write_ok(out, id, &decision.into(), false, None);
+        write_ok_head(out, id);
+        DecisionFields::from(decision).write_json(out);
+        write_ok_tail(out, false, None);
+    }
+
+    /// As [`ServeReply::write_ok_json`], with the decision given as its
+    /// rendered JSON object — what
+    /// [`DecisionFields::write_json`](hetsel_core::wire::DecisionFields::write_json)
+    /// writes, and a decision-cache entry stores
+    /// ([`CachedDecision::json`](hetsel_core::CachedDecision::json)) —
+    /// copied verbatim.
+    pub fn write_ok_json_rendered(out: &mut Vec<u8>, id: Option<u64>, decision_json: &[u8]) {
+        write_ok_head(out, id);
+        out.extend_from_slice(decision_json);
+        write_ok_tail(out, false, None);
     }
 }
 
@@ -630,16 +625,14 @@ fn write_head(out: &mut Vec<u8>, id: Option<u64>, status: &str) {
     write_str(out, status);
 }
 
-fn write_ok(
-    out: &mut Vec<u8>,
-    id: Option<u64>,
-    decision: &DecisionFields<'_>,
-    degraded: bool,
-    dispatched: Option<&ReplyDispatch>,
-) {
+/// An `ok` reply up to its decision object: `{"id":…,"status":"ok","decision":`.
+fn write_ok_head(out: &mut Vec<u8>, id: Option<u64>) {
     write_head(out, id, "ok");
     out.extend_from_slice(b",\"decision\":");
-    decision.write_json(out);
+}
+
+/// The rest of an `ok` reply after its decision object.
+fn write_ok_tail(out: &mut Vec<u8>, degraded: bool, dispatched: Option<&ReplyDispatch>) {
     out.extend_from_slice(b",\"degraded\":");
     write_bool(out, degraded);
     out.extend_from_slice(b",\"dispatched\":");
@@ -648,26 +641,6 @@ fn write_ok(
         None => out.extend_from_slice(b"null"),
     }
     out.push(b'}');
-}
-
-impl DecisionFields<'_> {
-    fn write_json(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(b"{\"region\":");
-        write_str(out, self.region);
-        out.extend_from_slice(b",\"device\":");
-        write_str(out, self.device);
-        out.extend_from_slice(b",\"device_name\":");
-        write_str(out, self.device_name);
-        out.extend_from_slice(b",\"policy\":");
-        write_str(out, self.policy);
-        out.extend_from_slice(b",\"predicted_cpu_s\":");
-        write_opt_f64(out, self.predicted_cpu_s);
-        out.extend_from_slice(b",\"predicted_gpu_s\":");
-        write_opt_f64(out, self.predicted_gpu_s);
-        out.extend_from_slice(b",\"calibrated\":");
-        write_bool(out, self.calibrated);
-        out.push(b'}');
-    }
 }
 
 impl ReplyDispatch {
@@ -687,55 +660,20 @@ impl ReplyDispatch {
     }
 }
 
-fn write_bool(out: &mut Vec<u8>, b: bool) {
-    out.extend_from_slice(if b { b"true" } else { b"false" });
-}
-
-fn write_uint(out: &mut Vec<u8>, v: u64) {
-    write!(out, "{v}").expect("writing to a Vec cannot fail");
-}
-
-/// A float as `serde_json` writes it: `Debug`, the shortest form that
-/// parses back to the same bits; `null` for none and for NaN and ±∞,
-/// which JSON cannot spell.
-fn write_opt_f64(out: &mut Vec<u8>, x: Option<f64>) {
-    match x {
-        Some(x) if x.is_finite() => write!(out, "{x:?}").expect("writing to a Vec cannot fail"),
-        _ => out.extend_from_slice(b"null"),
+/// An unsigned integer in decimal, as `Display` writes it, without the
+/// formatting machinery: every reply echoes its id.
+fn write_uint(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
     }
-}
-
-/// A JSON string literal with `serde_json`'s escapes: `\"`, `\\`, `\n`,
-/// `\r` and `\t` by name, every other control byte as `\u00XX`, and
-/// everything else — multi-byte UTF-8 included — verbatim.
-fn write_str(out: &mut Vec<u8>, s: &str) {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    out.push(b'"');
-    let bytes = s.as_bytes();
-    let mut copied = 0;
-    for (i, &b) in bytes.iter().enumerate() {
-        let named: &[u8] = match b {
-            b'"' => b"\\\"",
-            b'\\' => b"\\\\",
-            b'\n' => b"\\n",
-            b'\r' => b"\\r",
-            b'\t' => b"\\t",
-            0..=0x1f => &[
-                b'\\',
-                b'u',
-                b'0',
-                b'0',
-                HEX[usize::from(b >> 4)],
-                HEX[usize::from(b & 0xf)],
-            ],
-            _ => continue,
-        };
-        out.extend_from_slice(&bytes[copied..i]);
-        out.extend_from_slice(named);
-        copied = i + 1;
-    }
-    out.extend_from_slice(&bytes[copied..]);
-    out.push(b'"');
+    out.extend_from_slice(&digits[start..]);
 }
 
 impl Serialize for ServeReply {

@@ -17,11 +17,13 @@
 //!
 //! Admission is one function over a [`BorrowedRequest`], run once per
 //! request. A transport runs it on the request it decoded in place from
-//! the line, so a decided request keeps only its [`Decision`] (two `Arc`
-//! copies), to be rendered into the reply bytes: no owned request, no
-//! reply strings, no pending request. [`ServerHandle::submit_all`] runs
-//! it on a borrowed view of each owned request. Only a dispatch becomes an
-//! owned [`ServeRequest`] in a [`PendingRequest`].
+//! the line, and renders the `ok` reply of a decided request at once: a
+//! hit hands it the cache entry under its shard's lock
+//! ([`CachedDecision`]), whose stored decision bytes it copies — no owned
+//! request, no reply strings, no pending request, no `Decision` clone.
+//! [`ServerHandle::submit_all`] runs it on a borrowed view of each owned
+//! request. Only a dispatch becomes an owned [`ServeRequest`] in a
+//! [`PendingRequest`].
 //!
 //! A decide-only miss takes its expiry at admission and is decided
 //! without it, so the engine does no post-hoc degrade. If the expiry has
@@ -60,7 +62,7 @@ use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use hetsel_core::{Decision, Dispatcher, Lookup};
+use hetsel_core::{CachedDecision, Decision, Dispatcher, Lookup};
 use hetsel_obs::{DecisionEvent, EventKind};
 
 use crate::pending::{expiry, PendingRequest};
@@ -161,7 +163,7 @@ impl Inner {
     /// server sheds with [`ShedReason::ShuttingDown`]; a dispatch goes on
     /// to the queue; a decide-only request is answered `ok` from the cache
     /// or, on a miss, decided here, on the submitting thread.
-    fn answer_before_queue(&self, request: &BorrowedRequest<'_>) -> Admit {
+    fn answer_before_queue(&self, request: &BorrowedRequest<'_>) -> Admit<'_> {
         let engine = self.dispatcher.engine();
         let name = &*request.region;
         let Some(region) = engine.resolve(name) else {
@@ -187,9 +189,9 @@ impl Inner {
         let expires = request.deadline.map(expiry);
         let binding = &request.binding;
         let miss = match engine.lookup(region, |p| binding.get(p), request.policy_override) {
-            Lookup::Hit(decision) => {
+            Lookup::Hit(cached) => {
                 hetsel_obs::static_counter!("hetsel.serve.admission_hit").inc();
-                return Admit::Decided(decision);
+                return Admit::Hit(cached);
             }
             Lookup::Miss(miss) => miss,
         };
@@ -221,11 +223,15 @@ impl Inner {
 }
 
 /// What admission made of one request.
-pub(crate) enum Admit {
+pub(crate) enum Admit<'a> {
     /// Answered without a decision: an error or a shed.
     Reply(ServeReply),
-    /// A decide-only request, decided from the cache or on the spot: an
-    /// `ok` reply with this decision.
+    /// A decide-only request answered from the cache: an `ok` reply with
+    /// this entry's decision. The entry holds its shard's lock until it is
+    /// dropped.
+    Hit(CachedDecision<'a>),
+    /// A decide-only miss, decided on the spot: an `ok` reply with this
+    /// decision.
     Decided(Decision),
     /// A dispatch, for the queue.
     Queue,
@@ -240,7 +246,7 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// Runs admission on one request (see the module docs); the transport
     /// calls it on each request it decodes.
-    pub(crate) fn admit(&self, request: &BorrowedRequest<'_>) -> Admit {
+    pub(crate) fn admit(&self, request: &BorrowedRequest<'_>) -> Admit<'_> {
         self.inner.answer_before_queue(request)
     }
 
@@ -271,6 +277,7 @@ impl ServerHandle {
     fn admit_owned(&self, serve: ServeRequest) -> (Arc<PendingRequest>, bool) {
         let reply = match self.admit(&BorrowedRequest::from(&serve)) {
             Admit::Reply(reply) => Some(reply),
+            Admit::Hit(cached) => Some(ServeReply::ok(serve.id, cached.decision(), false, None)),
             Admit::Decided(decision) => Some(ServeReply::ok(serve.id, &decision, false, None)),
             Admit::Queue => None,
         };

@@ -14,16 +14,20 @@
 //! (`fill_buf`) and takes every complete line already buffered — at most
 //! [`MAX_IN_FLIGHT`] of them. Each line is decoded in place by
 //! [`decode_request_line`] and admitted on the spot, while its bytes are
-//! still in the read buffer: a decide-only request is decided there, on
-//! the session's thread — from the cache, or by the models on a miss —
-//! and keeps just its decision; only a dispatch is copied into an owned
-//! request. The burst's dispatches then go to the queue together, under
-//! one queue lock. The replies are rendered in line order into one reused
-//! buffer — a decision by [`ServeReply::write_ok_json`], every other reply
-//! by [`ServeReply::write_json`] — and sent with one `write_all` +
-//! `flush`, so a decision that follows a dispatch still leaves after the
-//! dispatch's reply. A cached line costs no heap allocation at all
-//! (`tests/cached_line_allocs.rs`).
+//! still in the read buffer, and its reply line is rendered at once into
+//! the burst's one reused buffer. A decide-only request is decided there,
+//! on the session's thread: a hit's reply wraps the bytes its cache entry
+//! stores, copied under the entry's shard lock
+//! ([`ServeReply::write_ok_json_rendered`]), so a hit formats no number;
+//! a miss is decided by the models and rendered by
+//! [`ServeReply::write_ok_json`]; errors and sheds by
+//! [`ServeReply::write_json`]. Only a dispatch is copied into an owned
+//! request, and its place in the buffer is kept. The burst's dispatches
+//! then go to the queue together, under one queue lock; each one's reply
+//! goes in at its place when the executor answers it, and the burst is
+//! sent with one `write_all` + `flush`, so a decision that follows a
+//! dispatch still leaves after the dispatch's reply. A cached line costs
+//! no heap allocation at all (`tests/cached_line_allocs.rs`).
 //!
 //! A client with one request in flight gets one reply per request, as with
 //! a line-at-a-time loop; a client that pipelines gets its buffered lines
@@ -42,8 +46,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use hetsel_core::Decision;
-
 use crate::pending::PendingRequest;
 use crate::proto::{decode_request_line, ServeReply};
 use crate::server::{Admit, ServerHandle};
@@ -51,6 +53,10 @@ use crate::server::{Admit, ServerHandle};
 /// Most request lines one connection has in flight: the lines of one
 /// burst. It bounds the replies a session buffers, and so its memory.
 pub const MAX_IN_FLIGHT: usize = 16;
+
+/// Bytes a session's reply buffer starts with: a burst of replies of
+/// ≈250 bytes, the size of an `ok` reply, fits without growing it.
+const BURST_BYTES: usize = MAX_IN_FLIGHT * 256;
 
 /// Longest request line accepted, in bytes without its newline. A longer
 /// line gets a `line_too_long` error reply.
@@ -115,32 +121,26 @@ pub fn serve_lines(
     }
 }
 
-/// What the burst holds for one line until it is sent.
-enum Slot {
-    /// Answered without a decision: a line that is not a request, or an
-    /// error or shed from admission.
-    Reply(ServeReply),
-    /// A decide-only request decided at admission: its id and the
-    /// decision, rendered when the burst is sent.
-    Decided(Option<u64>, Decision),
-    /// A dispatch sent on to the executor: the next request in `queued`.
-    Queued,
-}
-
 /// One session's framing state, reused from burst to burst.
 struct Burst<'h> {
     handle: &'h ServerHandle,
-    /// One entry per non-blank line of the burst, in order.
-    slots: Vec<Slot>,
+    /// Non-blank lines framed in this burst.
+    lines: usize,
+    /// The burst's reply lines, rendered in line order as each line is
+    /// admitted, but for its dispatches' replies.
+    out: Vec<u8>,
     /// The burst's dispatches, in line order.
     queued: Vec<Arc<PendingRequest>>,
+    /// Where each dispatch's reply goes in `out`: the length of `out` when
+    /// its line was admitted.
+    holes: Vec<usize>,
+    /// A dispatch's reply, on its way into `out`.
+    dispatched: Vec<u8>,
     /// The start of a line whose newline has not been read yet.
     partial: Vec<u8>,
     /// True while dropping the rest of an over-long line, whose reply is
-    /// already in `slots`.
+    /// already in `out`.
     skipping: bool,
-    /// The rendered replies of the burst.
-    out: Vec<u8>,
     stats: TransportStats,
 }
 
@@ -148,11 +148,13 @@ impl<'h> Burst<'h> {
     fn new(handle: &'h ServerHandle) -> Burst<'h> {
         Burst {
             handle,
-            slots: Vec::with_capacity(MAX_IN_FLIGHT),
+            lines: 0,
+            out: Vec::with_capacity(BURST_BYTES),
             queued: Vec::with_capacity(MAX_IN_FLIGHT),
+            holes: Vec::with_capacity(MAX_IN_FLIGHT),
+            dispatched: Vec::new(),
             partial: Vec::new(),
             skipping: false,
-            out: Vec::new(),
             stats: TransportStats::default(),
         }
     }
@@ -162,7 +164,7 @@ impl<'h> Burst<'h> {
     /// bytes of `buf` it used.
     fn scan(&mut self, buf: &[u8]) -> usize {
         let mut used = 0;
-        while self.slots.len() < MAX_IN_FLIGHT && used < buf.len() {
+        while self.lines < MAX_IN_FLIGHT && used < buf.len() {
             let rest = &buf[used..];
             match rest.iter().position(|&b| b == b'\n') {
                 Some(end) => {
@@ -230,16 +232,26 @@ impl<'h> Burst<'h> {
             Ok(text) => match decode_request_line(text) {
                 Ok(request) => {
                     self.stats.lines += 1;
-                    let slot = match self.handle.admit(&request) {
-                        Admit::Reply(reply) => Slot::Reply(reply),
-                        Admit::Decided(decision) => Slot::Decided(request.id, decision),
+                    self.lines += 1;
+                    let out = &mut self.out;
+                    match self.handle.admit(&request) {
+                        Admit::Reply(reply) => render(out, &mut self.stats.errors, &reply),
+                        // The entry's stored rendering, copied under its
+                        // shard's lock: a hit formats nothing.
+                        Admit::Hit(mut cached) => {
+                            ServeReply::write_ok_json_rendered(out, request.id, cached.json());
+                            out.push(b'\n');
+                        }
+                        Admit::Decided(decision) => {
+                            ServeReply::write_ok_json(out, request.id, &decision);
+                            out.push(b'\n');
+                        }
                         Admit::Queue => {
                             let pending = PendingRequest::new(request.into_owned());
                             self.queued.push(Arc::new(pending));
-                            Slot::Queued
+                            self.holes.push(out.len());
                         }
-                    };
-                    self.slots.push(slot);
+                    }
                 }
                 Err(error_reply) => self.refuse(*error_reply),
             },
@@ -254,38 +266,34 @@ impl<'h> Burst<'h> {
     fn refuse(&mut self, reply: ServeReply) {
         hetsel_obs::static_counter!("hetsel.serve.bad_request").inc();
         self.stats.lines += 1;
-        self.slots.push(Slot::Reply(reply));
+        self.lines += 1;
+        render(&mut self.out, &mut self.stats.errors, &reply);
     }
 
-    /// Queues the burst's dispatches together, renders every reply in line
-    /// order — waiting for the executor where it must — and sends them all
-    /// in one write.
+    /// Queues the burst's dispatches together, puts each one's reply in at
+    /// its line's place — waiting for the executor — and sends the burst's
+    /// replies in one write.
     fn send(&mut self, writer: &mut impl Write) -> io::Result<()> {
-        if self.slots.is_empty() {
+        if self.lines == 0 {
             return Ok(());
         }
         self.handle.enqueue(&self.queued);
-        let mut queued = self.queued.drain(..);
-        let (out, stats) = (&mut self.out, &mut self.stats);
-        out.clear();
-        let replies = self.slots.len() as u64;
-        for slot in self.slots.drain(..) {
-            match slot {
-                Slot::Reply(reply) => render(out, &mut stats.errors, &reply),
-                Slot::Decided(id, decision) => {
-                    ServeReply::write_ok_json(out, id, &decision);
-                    out.push(b'\n');
-                }
-                Slot::Queued => queued
-                    .next()
-                    .expect("one pending request per queued line")
-                    .done
-                    .wait_with(|reply| render(out, &mut stats.errors, reply)),
-            }
+        // Last first, so the places of the earlier ones stay where they
+        // were taken.
+        for (pending, &at) in self.queued.iter().zip(&self.holes).rev() {
+            let (dispatched, stats) = (&mut self.dispatched, &mut self.stats);
+            pending
+                .done
+                .wait_with(|reply| render(dispatched, &mut stats.errors, reply));
+            self.out.splice(at..at, dispatched.drain(..));
         }
+        self.queued.clear();
+        self.holes.clear();
         writer.write_all(&self.out)?;
         writer.flush()?;
-        self.stats.replies += replies;
+        self.out.clear();
+        self.stats.replies += self.lines as u64;
+        self.lines = 0;
         Ok(())
     }
 }
@@ -559,10 +567,10 @@ mod tests {
         }
         assert!(burst.skipping);
         // Exactly one reply for the whole over-long line, so far.
-        assert_eq!(burst.slots.len(), 1);
+        assert_eq!(burst.lines, 1);
         burst.scan(b"tail\n");
         assert!(!burst.skipping && burst.partial.is_empty());
-        assert_eq!(burst.slots.len(), 1);
+        assert_eq!(burst.lines, 1);
         server.shutdown();
     }
 
@@ -575,7 +583,7 @@ mod tests {
             .map(|id| format!("{}\n", request_line(id)))
             .collect();
         let used = burst.scan(input.as_bytes());
-        assert_eq!(burst.slots.len(), MAX_IN_FLIGHT);
+        assert_eq!(burst.lines, MAX_IN_FLIGHT);
         assert!(used < input.len(), "the lines past the cap stay buffered");
         let mut out = Vec::new();
         burst.send(&mut out).unwrap();

@@ -1,8 +1,8 @@
 //! The allocation budget of a cached request on the serve path: a
 //! decide-only line whose decision is cached costs no heap allocation in
 //! `serve_lines`, from the bytes read to the reply written — decoding,
-//! admission, the cache probe and the rendered reply — whether it arrives
-//! alone or in a pipelined burst.
+//! admission, the cache probe and the reply around the entry's stored
+//! bytes — whether it arrives alone or in a pipelined burst.
 //!
 //! A counting global allocator tallies allocations per thread, as in
 //! `hetsel-core`'s `zero_alloc.rs`: a cached decide-only request is
@@ -136,8 +136,10 @@ fn allocs_per_line(request: &str, per_read: usize) -> f64 {
         Dispatcher::new(engine, DispatcherConfig::default()),
         ServeConfig::default(),
     );
-    // Prime: the first line misses and is decided by the batcher; the
-    // rest are hits, which also create every lazily registered metric.
+    // Prime: the first line misses and is decided at admission, on the
+    // transport thread; the second, the entry's first hit, also renders
+    // the entry's reply bytes once; the rest are hits, which also create
+    // every lazily registered metric.
     allocs_for(&server, request, 8, 1);
     allocs_for(&server, request, 2 * per_read as u64, per_read);
     let (short, long) = (10 * per_read as u64, 30 * per_read as u64);

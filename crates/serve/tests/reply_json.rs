@@ -3,12 +3,15 @@
 //! bytes equal `serde_json::to_string`'s: ids from none to `u64::MAX`,
 //! floats including `-0.0`, subnormals, NaN and ±∞ (both write `null`),
 //! and strings holding quotes, backslashes, control bytes and multi-byte
-//! UTF-8. `ServeReply::write_ok_json`, which renders a cached decision's
+//! UTF-8. `ServeReply::write_ok_json`, which renders a decided request's
 //! reply straight from the engine's `Decision`, is held to the same bytes
-//! as the `ok` reply built from that decision.
+//! as the `ok` reply built from that decision, and so is
+//! `ServeReply::write_ok_json_rendered` around the decision's stored JSON
+//! object, the bytes a decision-cache entry keeps (`DecisionFields`).
 
 use std::sync::Arc;
 
+use hetsel_core::wire::DecisionFields;
 use hetsel_core::{BindingClass, CalibrationTag, Decision, Device, DeviceId, Policy};
 use hetsel_serve::{ReplyDecision, ReplyDispatch, ServeReply, ShedReason};
 use proptest::collection::vec;
@@ -214,6 +217,30 @@ proptest! {
         let expected = serde_json::to_string(&built).expect("replies always serialize");
         let mut out = prefix.clone().into_bytes();
         ServeReply::write_ok_json(&mut out, id, &decision);
+        prop_assert_eq!(&out[..prefix.len()], prefix.as_bytes());
+        prop_assert_eq!(
+            std::str::from_utf8(&out[prefix.len()..]).expect("JSON text is UTF-8"),
+            expected.as_str()
+        );
+    }
+
+    #[test]
+    fn an_ok_reply_around_stored_bytes_is_byte_identical_to_the_built_reply(
+        id in id(),
+        decision in engine_decision(),
+        prefix in text(),
+    ) {
+        let built = ServeReply::ok(id, &decision, false, None);
+        let expected = serde_json::to_string(&built).expect("replies always serialize");
+        let mut rendered = prefix.clone().into_bytes();
+        ServeReply::write_ok_json(&mut rendered, id, &decision);
+        // What a cache entry stores for the decision, and the reply the
+        // transport wraps around it.
+        let mut stored = Vec::new();
+        DecisionFields::from(&decision).write_json(&mut stored);
+        let mut out = prefix.clone().into_bytes();
+        ServeReply::write_ok_json_rendered(&mut out, id, &stored);
+        prop_assert_eq!(&out, &rendered);
         prop_assert_eq!(&out[..prefix.len()], prefix.as_bytes());
         prop_assert_eq!(
             std::str::from_utf8(&out[prefix.len()..]).expect("JSON text is UTF-8"),

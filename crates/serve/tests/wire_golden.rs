@@ -22,7 +22,8 @@ use std::process::{Command, Stdio};
 
 /// The session, one request line each.
 const SESSION: &[&str] = &[
-    // A 1-parameter request: decided by the batcher (a cache miss).
+    // A 1-parameter request: a cache miss, decided at admission on the
+    // transport thread.
     r#"{"id":1,"request":{"region":"gemm","binding":{"n":1024}}}"#,
     // A 2-parameter request, also a miss.
     r#"{"id":2,"request":{"region":"covar.covar","binding":{"n":1000,"m":1200}}}"#,

@@ -19,9 +19,7 @@
 //! contention.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hetsel_core::{
-    AttributeDatabase, DecisionEngine, DecisionRequest, Platform, Selector, DEFAULT_DECISION_SHARDS,
-};
+use hetsel_core::{AttributeDatabase, DecisionEngine, Platform, Selector, DEFAULT_DECISION_SHARDS};
 use hetsel_ir::Binding;
 use hetsel_polybench::find_kernel;
 use std::hint::black_box;
@@ -118,24 +116,5 @@ fn contended_decide(c: &mut Criterion) {
     );
 }
 
-/// The batched entry point against the same workload shape: one
-/// `decide_batch` per round per thread, grouped by shard internally.
-fn batched_decide(c: &mut Criterion) {
-    let engine = engine_with_shards(DEFAULT_DECISION_SHARDS);
-    warm(&engine);
-    let bindings: Vec<Binding> = (1..=HOT_KEYS as i64)
-        .map(|n| Binding::new().with("n", n))
-        .collect();
-    c.bench_function("decide_batch_64_hot", |b| {
-        b.iter(|| {
-            let requests: Vec<DecisionRequest> = bindings
-                .iter()
-                .map(|bind| DecisionRequest::new("gemm", bind.clone()))
-                .collect();
-            black_box(engine.decide_batch(&requests))
-        });
-    });
-}
-
-criterion_group!(benches, contended_decide, batched_decide);
+criterion_group!(benches, contended_decide);
 criterion_main!(benches);

@@ -6,9 +6,6 @@
 //! * `warm_evaluate` — evaluate the precompiled attribute-database entry;
 //! * `cache_hit` — replay a memoized decision (the allocation-free path);
 //! * `cache_miss` — evaluate + insert, every call a fresh key;
-//! * `batch_hot` / `batch_cold` — `decide_batch` throughput per request,
-//!   over an all-hit and an all-miss batch respectively (the cold path is
-//!   where the rayon parallel evaluation pass applies);
 //! * `cold_start_compile` / `cold_start_snapshot` — process-fresh start to
 //!   first decision over the full 24-region suite: compile every model
 //!   from IR vs restore the compiled-model snapshot from disk.
@@ -20,9 +17,7 @@
 //! # → checks the written results (snapshot cold start ≥ 10× faster)
 //! ```
 
-use hetsel_core::{
-    AttributeDatabase, DecisionEngine, DecisionRequest, Platform, Selector, DEFAULT_DECISION_CACHE,
-};
+use hetsel_core::{AttributeDatabase, DecisionEngine, Platform, Selector, DEFAULT_DECISION_CACHE};
 use hetsel_ir::Kernel;
 use hetsel_polybench::{find_kernel, Dataset};
 use serde::Serialize;
@@ -159,57 +154,6 @@ fn main() {
         mb.set("n", 1024 + (n % 1_000_000));
         black_box(miss_engine.decide(black_box("gemm"), black_box(&mb)));
     }));
-
-    // Batch throughput, per request. Hot: the same 256 keys every call
-    // (all hits after the first). Cold: a fresh binding per request per
-    // call, so every request takes the parallel evaluation path.
-    const BATCH: u64 = 256;
-    let hot_requests: Vec<DecisionRequest> = (0..BATCH)
-        .map(|i| {
-            let mut rb = b.clone();
-            rb.set("n", 1024 + (i as i64 % 8));
-            DecisionRequest::new("gemm", rb)
-        })
-        .collect();
-    let batch_engine = DecisionEngine::new(
-        Selector::new(platform.clone()),
-        std::slice::from_ref(&kernel),
-    );
-    batch_engine.decide_batch(&hot_requests);
-    let hot = time("batch_hot_total", 200, || {
-        black_box(batch_engine.decide_batch(black_box(&hot_requests)));
-    });
-    results.push(BenchRow {
-        name: "batch_hot_per_request".to_string(),
-        iters: hot.iters * BATCH,
-        total_ns: hot.total_ns,
-        ns_per_op: hot.ns_per_op / BATCH as f64,
-    });
-    results.push(hot);
-
-    let cold_engine = DecisionEngine::with_capacity(
-        Selector::new(platform.clone()),
-        std::slice::from_ref(&kernel),
-        64,
-    );
-    let mut round = 0i64;
-    let mut cold_requests = hot_requests.clone();
-    let cold = time("batch_cold_total", 50, || {
-        round += 1;
-        for (i, r) in cold_requests.iter_mut().enumerate() {
-            let mut rb = b.clone();
-            rb.set("n", 4096 + round * BATCH as i64 + i as i64);
-            *r = DecisionRequest::new("gemm", rb);
-        }
-        black_box(cold_engine.decide_batch(black_box(&cold_requests)));
-    });
-    results.push(BenchRow {
-        name: "batch_cold_per_request".to_string(),
-        iters: cold.iters * BATCH,
-        total_ns: cold.total_ns,
-        ns_per_op: cold.ns_per_op / BATCH as f64,
-    });
-    results.push(cold);
 
     // Cold start over the full suite: everything a fresh process does
     // before it can answer its first request. The compile path runs the

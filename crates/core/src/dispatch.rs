@@ -21,8 +21,9 @@
 //!   host. The host is the last resort and is never fully load-shed: if
 //!   every breaker rejects the request, the dispatcher forces a host probe
 //!   rather than dropping the request.
-//! * **Deadlines**: [`Dispatcher::dispatch_within`] bounds the decision
-//!   phase; a missed budget degrades to the compiler default (see
+//! * **Deadlines**: a request's own deadline
+//!   ([`DecisionRequest::with_deadline`]) bounds the decision phase; a
+//!   missed budget degrades to the compiler default (see
 //!   [`DecisionEngine::decide_request`]) and the outcome records it.
 //!
 //! Under a no-fault plan a dispatch is exactly a decide plus one simulator
@@ -37,7 +38,6 @@
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use crate::attributes::RegionAttributes;
 use crate::explain::{DispatchTerms, Explanation};
@@ -717,25 +717,13 @@ impl Dispatcher {
     /// Decides and executes `request`: the full fault-tolerant path. See
     /// the module docs for the exact failover order.
     pub fn dispatch(&self, request: &DecisionRequest) -> Result<DispatchOutcome, DispatchError> {
-        self.dispatch_bounded(request, None)
-    }
-
-    /// Shared dispatch path: `deadline_override`, when present, replaces
-    /// the request's own decision deadline. The override is threaded
-    /// straight through to the engine's bounded request path — the request
-    /// is never cloned to carry it.
-    fn dispatch_bounded(
-        &self,
-        request: &DecisionRequest,
-        deadline_override: Option<Duration>,
-    ) -> Result<DispatchOutcome, DispatchError> {
         let _timer = hetsel_obs::static_histogram!("hetsel.core.dispatch.ns").start_timer();
         let now = self.clock.fetch_add(1, Ordering::Relaxed);
-        let (decision, deadline_degraded) = self
-            .engine
-            .decide_request_bounded(request, deadline_override)
-            .ok_or_else(|| DispatchError::UnknownRegion {
-                region: request.region().to_string(),
+        let (decision, deadline_degraded) =
+            self.engine.decide_request_inner(request).ok_or_else(|| {
+                DispatchError::UnknownRegion {
+                    region: request.region().to_string(),
+                }
             })?;
         let attrs = self
             .engine
@@ -926,18 +914,6 @@ impl Dispatcher {
             explanation.accuracy = Some(crate::explain::AccuracyBlock::from_row(&row));
         }
         Ok((outcome, explanation))
-    }
-
-    /// As [`Dispatcher::dispatch`] with an explicit decision deadline,
-    /// overriding any deadline the request already carries. The override
-    /// is applied in place — the request is not cloned (the same
-    /// needless-clone shape [`DecisionEngine::decide_within`] fixed).
-    pub fn dispatch_within(
-        &self,
-        request: &DecisionRequest,
-        deadline: Duration,
-    ) -> Result<DispatchOutcome, DispatchError> {
-        self.dispatch_bounded(request, Some(deadline))
     }
 
     /// The kind-level health view: the host record, or the *primary*
@@ -1154,6 +1130,7 @@ mod tests {
     use crate::platform::Platform;
     use crate::selector::{Policy, Selector};
     use hetsel_polybench::{find_kernel, Dataset};
+    use std::time::Duration;
 
     fn engine() -> DecisionEngine {
         let (k, _) = find_kernel("gemm").unwrap();
@@ -1379,7 +1356,7 @@ mod tests {
     fn deadline_degraded_dispatch_records_the_reason() {
         let dispatcher = Dispatcher::new(engine(), DispatcherConfig::default());
         let outcome = dispatcher
-            .dispatch_within(&gemm_request(Dataset::Test), Duration::ZERO)
+            .dispatch(&gemm_request(Dataset::Test).with_deadline(Duration::ZERO))
             .unwrap();
         assert_eq!(outcome.decision.policy, Policy::AlwaysOffload);
         assert_eq!(outcome.fallback, Some(FallbackReason::DeadlineExceeded));

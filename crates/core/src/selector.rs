@@ -22,7 +22,6 @@ use crate::wire::DecisionFields;
 use hetsel_ir::{Binding, Kernel};
 use hetsel_models::{CoalescingMode, CostModel, CpuCostModel, GpuCostModel, ModelError, TripMode};
 use parking_lot::{Mutex, MutexGuard};
-use rayon::prelude::*;
 
 /// An execution target.
 ///
@@ -1619,12 +1618,8 @@ impl ShardedCache {
     /// hash — no hasher runs here, so shard selection costs two
     /// instructions and placement is deterministic within and across
     /// processes.
-    fn shard_index(&self, key: &CacheKey) -> usize {
-        (key.hash as usize) & self.mask
-    }
-
     fn shard(&self, key: &CacheKey) -> &CacheShard {
-        &self.shards[self.shard_index(key)]
+        &self.shards[(key.hash as usize) & self.mask]
     }
 }
 
@@ -1835,38 +1830,33 @@ impl DecisionEngine {
     /// produce, because the models are deterministic in the key.
     pub fn decide(&self, region: &str, binding: &Binding) -> Option<Decision> {
         let _timer = hetsel_obs::static_histogram!("hetsel.core.decide.ns").start_timer();
-        let (id, attrs) = self.database.region_entry(region)?;
-        let key = CacheKey::new(
-            id,
-            DeviceId::FLEET,
-            OWN_POLICY,
-            self.calib_epoch(),
-            attrs,
-            |p| binding.get(p),
-        );
-        Some(self.decide_cached(key, || self.selector.decide(attrs, binding)))
+        Some(self.decide_resolved(self.resolve(region)?, binding, None))
     }
 
-    /// The probe → evaluate → insert dance every cached single-decision
-    /// path shares. Probes `key`'s shard, runs `eval` on a miss, then
-    /// re-probes under the insert lock: another thread may have completed
+    /// The engine's one decision path: [`DecisionEngine::lookup`], and on
+    /// a miss [`DecisionEngine::decide_miss`]. A hit clones the cached
+    /// decision.
+    fn decide_resolved(
+        &self,
+        region: ResolvedRegion<'_>,
+        binding: &Binding,
+        policy_override: Option<Policy>,
+    ) -> Decision {
+        match self.lookup(region, |p| binding.get(p), policy_override) {
+            Lookup::Hit(cached) => cached.decision().clone(),
+            Lookup::Miss(miss) => self.decide_miss(miss, binding),
+        }
+    }
+
+    /// Inserts the `decision` evaluated for a probe of `key` that missed,
+    /// re-probing under the insert lock: another thread may have completed
     /// the same miss while this one was evaluating. The loser takes the
     /// cached copy (bit-identical — the models are deterministic in the
-    /// key) and counts a late hit, so `misses == insertions` holds
-    /// exactly even under concurrent duplicate misses. Hit/miss counters
-    /// and the flight-recorder `Decide` event are emitted here, so every
-    /// caller is observable by construction.
-    fn decide_cached(&self, key: CacheKey, eval: impl FnOnce() -> Decision) -> Decision {
-        if let Some(cached) = self.probe(&key) {
-            return cached.decision().clone();
-        }
-        self.insert_miss(key, eval())
-    }
-
-    /// The second half of [`DecisionEngine::decide_cached`]: inserts the
-    /// `decision` evaluated for a probe of `key` that missed, unless
-    /// another thread inserted the key meanwhile (then its copy is
-    /// returned and counted as a late hit).
+    /// key) and counts a late hit, so `misses == insertions` holds exactly
+    /// even under concurrent duplicate misses. Together with
+    /// [`DecisionEngine::probe`] it is the only code that reads or writes
+    /// a cache entry, so every decision is counted and flight-recorded the
+    /// same way.
     fn insert_miss(&self, key: CacheKey, decision: Decision) -> Decision {
         let shard = self.cache.shard(&key);
         let mut lru = shard.lru.lock();
@@ -1895,45 +1885,6 @@ impl DecisionEngine {
         Some(CachedDecision { lru, idx })
     }
 
-    /// Answers `request` from the cache alone: the decision
-    /// [`DecisionEngine::decide_request`] would return, when its key (the
-    /// engine's own policy or the override's partition, under the current
-    /// calibration epoch) is cached. A hit is counted and flight-recorded
-    /// exactly as a hit of `decide_request`, and allocates nothing
-    /// (`core/tests/zero_alloc.rs`). Otherwise it returns `None` having
-    /// evaluated, inserted and counted nothing: on a miss, for an unknown
-    /// region, and for a zero budget, which `decide_request` degrades
-    /// without consulting the cache.
-    pub fn cached(&self, request: &DecisionRequest) -> Option<Decision> {
-        self.cached_parts(
-            request.region(),
-            |p| request.binding().get(p),
-            request.policy_override(),
-            request.deadline(),
-        )
-    }
-
-    /// As [`DecisionEngine::cached`], over a request's parts instead of an
-    /// owned [`DecisionRequest`]: `binding` returns a parameter's value by
-    /// name. A caller that decoded a request in place — the decision
-    /// service, from the bytes of a request line — probes with what it
-    /// borrowed, and a hit allocates nothing (`core/tests/zero_alloc.rs`).
-    pub fn cached_parts(
-        &self,
-        region: &str,
-        binding: impl Fn(&str) -> Option<i64>,
-        policy_override: Option<Policy>,
-        deadline: Option<Duration>,
-    ) -> Option<Decision> {
-        if deadline.is_some_and(|d| d.is_zero()) {
-            return None;
-        }
-        match self.lookup(self.resolve(region)?, binding, policy_override) {
-            Lookup::Hit(cached) => Some(cached.decision().clone()),
-            Lookup::Miss(_) => None,
-        }
-    }
-
     /// Looks `region` up by name, once: the handle serves
     /// [`DecisionEngine::lookup`] and, on a miss,
     /// [`DecisionEngine::decide_miss`] without a second name lookup.
@@ -1941,6 +1892,28 @@ impl DecisionEngine {
     pub fn resolve(&self, region: &str) -> Option<ResolvedRegion<'_>> {
         let (id, attrs) = self.database.region_entry(region)?;
         Some(ResolvedRegion { id, attrs })
+    }
+
+    /// The key of `region`'s decision under `binding` in the cache
+    /// partition of `scope` and `policy_override`, stamped with the
+    /// current calibration epoch: the one key builder, shared by
+    /// [`DecisionEngine::lookup`], [`DecisionEngine::decide_for`] and
+    /// [`DecisionEngine::explain`].
+    fn key(
+        &self,
+        region: ResolvedRegion<'_>,
+        scope: DeviceId,
+        policy_override: Option<Policy>,
+        binding: impl Fn(&str) -> Option<i64>,
+    ) -> CacheKey {
+        CacheKey::new(
+            region.id,
+            scope,
+            policy_override.map_or(OWN_POLICY, policy_code),
+            self.calib_epoch(),
+            region.attrs,
+            binding,
+        )
     }
 
     /// Probes the cache for a request to `region` with no deadline, keyed
@@ -1958,14 +1931,7 @@ impl DecisionEngine {
         binding: impl Fn(&str) -> Option<i64>,
         policy_override: Option<Policy>,
     ) -> Lookup<'e> {
-        let key = CacheKey::new(
-            region.id,
-            DeviceId::FLEET,
-            policy_override.map_or(OWN_POLICY, policy_code),
-            self.calib_epoch(),
-            region.attrs,
-            binding,
-        );
+        let key = self.key(region, DeviceId::FLEET, policy_override, binding);
         match self.probe(&key) {
             Some(cached) => Lookup::Hit(cached),
             None => Lookup::Miss(CacheMiss {
@@ -2005,24 +1971,26 @@ impl DecisionEngine {
         device: DeviceId,
     ) -> Option<Decision> {
         let _timer = hetsel_obs::static_histogram!("hetsel.core.decide.ns").start_timer();
-        let (id, attrs) = self.database.region_entry(region)?;
+        let region = self.resolve(region)?;
         let scope = if device.is_host() {
             None
         } else {
             let fleet_idx = self.selector.fleet.accel_index(device)?;
             // The database must carry a compiled model for this
             // accelerator (index 0 is `gpu_model`, the rest are extras).
-            if fleet_idx > attrs.extra_accel_models.len() {
+            if fleet_idx > region.attrs.extra_accel_models.len() {
                 return None;
             }
             Some(fleet_idx)
         };
-        let key = CacheKey::new(id, device, OWN_POLICY, self.calib_epoch(), attrs, |p| {
-            binding.get(p)
-        });
-        Some(self.decide_cached(key, || {
-            self.selector.decide_restricted(attrs, binding, scope)
-        }))
+        let key = self.key(region, device, None, |p| binding.get(p));
+        if let Some(cached) = self.probe(&key) {
+            return Some(cached.decision().clone());
+        }
+        let decision = self
+            .selector
+            .decide_restricted(region.attrs, binding, scope);
+        Some(self.insert_miss(key, decision))
     }
 
     /// Takes (or recalls) the decision for one [`DecisionRequest`],
@@ -2045,32 +2013,14 @@ impl DecisionEngine {
         self.decide_request_inner(request).map(|(d, _)| d)
     }
 
-    /// As [`DecisionEngine::decide_request`] with an explicit deadline,
-    /// overriding any deadline the request already carries. The override is
-    /// applied in place — the request is not cloned.
-    pub fn decide_within(&self, request: &DecisionRequest, deadline: Duration) -> Option<Decision> {
-        self.decide_request_bounded(request, Some(deadline))
-            .map(|(d, _)| d)
-    }
-
     /// Request path with the degrade flag exposed, for the dispatcher: the
     /// `bool` is true iff the decision was deadline-degraded.
     pub(crate) fn decide_request_inner(
         &self,
         request: &DecisionRequest,
     ) -> Option<(Decision, bool)> {
-        self.decide_request_bounded(request, None)
-    }
-
-    /// Shared request path: `deadline_override`, when present, replaces the
-    /// request's own deadline without materialising a modified request.
-    pub(crate) fn decide_request_bounded(
-        &self,
-        request: &DecisionRequest,
-        deadline_override: Option<Duration>,
-    ) -> Option<(Decision, bool)> {
         let start = Instant::now();
-        let deadline = deadline_override.or_else(|| request.deadline());
+        let deadline = request.deadline();
         if deadline.is_some_and(|d| d.is_zero()) {
             // No budget at all: don't even evaluate.
             return self.degraded(request.region()).map(|d| (d, true));
@@ -2078,11 +2028,7 @@ impl DecisionEngine {
         let decision = {
             let _timer = hetsel_obs::static_histogram!("hetsel.core.decide.ns").start_timer();
             let region = self.resolve(request.region())?;
-            let binding = request.binding();
-            match self.lookup(region, |p| binding.get(p), request.policy_override()) {
-                Lookup::Hit(cached) => cached.decision().clone(),
-                Lookup::Miss(miss) => self.decide_miss(miss, binding),
-            }
+            self.decide_resolved(region, request.binding(), request.policy_override())
         };
         // The computed decision is cached above, so a blown budget does
         // not waste the ~µs cold evaluation: the reply degrades, but a
@@ -2094,9 +2040,9 @@ impl DecisionEngine {
     }
 
     /// What a request for `region` decides with no budget at all: the
-    /// deadline-degraded compiler default of
-    /// [`DecisionEngine::decide_within`] with a zero deadline, taken from
-    /// the region's name alone. `None` for an unknown region.
+    /// deadline-degraded compiler default [`DecisionEngine::decide_request`]
+    /// returns for a zero deadline, taken from the region's name alone.
+    /// `None` for an unknown region.
     pub fn degraded(&self, region: &str) -> Option<Decision> {
         self.database.region(region)?;
         Some(self.deadline_degraded(region))
@@ -2132,143 +2078,6 @@ impl DecisionEngine {
         }
     }
 
-    /// Takes (or recalls) the decisions for a whole batch of requests at
-    /// once, returning one slot per request in request order (`None` for
-    /// unknown regions, exactly as [`DecisionEngine::decide_request`]
-    /// would).
-    ///
-    /// Plain requests are grouped by cache shard so each shard's lock is
-    /// taken at most twice — once for all of the group's lookups, once for
-    /// all of its inserts — instead of twice per request. Cold misses from
-    /// *every* shard are then evaluated in a single data-parallel pass
-    /// (rayon) with no lock held; the models are pure functions of
-    /// `(region, binding)`, so the parallel pass is bit-for-bit identical
-    /// to evaluating serially. Requests carrying a policy override or
-    /// deadline take the individual [`DecisionEngine::decide_request`] path
-    /// (overrides live in their own cache partition; deadlines need the
-    /// per-request clock). Decisions and hit/miss accounting are identical
-    /// to issuing the requests one by one.
-    pub fn decide_batch(&self, requests: &[DecisionRequest]) -> Vec<Option<Decision>> {
-        let mut results: Vec<Option<Decision>> = vec![None; requests.len()];
-        // One epoch read covers the whole batch: every plain request in it
-        // is keyed (and answered) under the same calibration epoch.
-        let epoch = self.calib_epoch();
-        // Resolve keys and group plain request indices by shard.
-        let mut keyed: Vec<Option<(CacheKey, &RegionAttributes)>> =
-            Vec::with_capacity(requests.len());
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.cache.shards.len()];
-        for (i, request) in requests.iter().enumerate() {
-            if request.policy_override().is_some() || request.deadline().is_some() {
-                results[i] = self.decide_request(request);
-                keyed.push(None);
-                continue;
-            }
-            match self.database.region_entry(request.region()) {
-                Some((id, attrs)) => {
-                    let key = CacheKey::new(id, DeviceId::FLEET, OWN_POLICY, epoch, attrs, |p| {
-                        request.binding().get(p)
-                    });
-                    by_shard[self.cache.shard_index(&key)].push(i);
-                    keyed.push(Some((key, attrs)));
-                }
-                None => keyed.push(None),
-            }
-        }
-        // Phase 1: one lock per shard for every lookup in its group. A
-        // repeated key later in the batch is a hit against the earlier
-        // request's (still pending) evaluation — the same accounting serial
-        // decides would produce.
-        /// Per-shard phase-1 outcome: which request slots missed and which
-        /// are intra-batch duplicates of an earlier miss `(slot, source)`.
-        struct ShardPlan {
-            shard: usize,
-            missed: Vec<usize>,
-            duplicates: Vec<(usize, usize)>,
-        }
-        let mut plans: Vec<ShardPlan> = Vec::new();
-        for (shard_idx, indices) in by_shard.iter().enumerate() {
-            if indices.is_empty() {
-                continue;
-            }
-            let shard = &self.cache.shards[shard_idx];
-            let mut missed: Vec<usize> = Vec::new();
-            let mut duplicates: Vec<(usize, usize)> = Vec::new(); // (slot, source slot)
-            let mut pending: HashMap<&CacheKey, usize> = HashMap::new();
-            let mut lru = shard.lru.lock();
-            for &i in indices {
-                let (key, _) = keyed[i].as_ref().expect("grouped index was keyed");
-                match lru.get(key) {
-                    Some(cached) => {
-                        note_hit(shard, &cached, key.hash);
-                        results[i] = Some(cached);
-                    }
-                    None => match pending.get(key) {
-                        Some(&first) => duplicates.push((i, first)),
-                        None => {
-                            pending.insert(key, i);
-                            missed.push(i);
-                        }
-                    },
-                }
-            }
-            drop(lru);
-            if !missed.is_empty() {
-                plans.push(ShardPlan {
-                    shard: shard_idx,
-                    missed,
-                    duplicates,
-                });
-            }
-        }
-        // Phase 2: evaluate every cold miss across all shards in one
-        // parallel pass, no lock held. Results come back tagged with their
-        // request slot and are scattered in order, so the output is
-        // independent of evaluation order.
-        let all_missed: Vec<usize> = plans
-            .iter()
-            .flat_map(|plan| plan.missed.iter().copied())
-            .collect();
-        let evaluated: Vec<(usize, Decision)> = all_missed
-            .into_par_iter()
-            .map(|i| {
-                let (_, attrs) = keyed[i].as_ref().expect("grouped index was keyed");
-                (i, self.selector.decide(*attrs, requests[i].binding()))
-            })
-            .collect();
-        for (i, decision) in evaluated {
-            results[i] = Some(decision);
-        }
-        // Phase 3: duplicates copy their source slot as hits, then each
-        // shard takes its lock once more for the inserts, re-probing each
-        // key: a concurrent caller may have completed the same miss since
-        // phase 1, and the loser counts a late hit (see `decide`) so
-        // `misses == insertions` holds exactly.
-        for plan in &plans {
-            let shard = &self.cache.shards[plan.shard];
-            for &(i, first) in &plan.duplicates {
-                let decision = results[first].clone().expect("miss was evaluated");
-                let (key, _) = keyed[i].as_ref().expect("grouped index was keyed");
-                note_hit(shard, &decision, key.hash);
-                results[i] = Some(decision);
-            }
-            let mut lru = shard.lru.lock();
-            for &i in &plan.missed {
-                let (key, _) = keyed[i].as_ref().expect("grouped index was keyed");
-                if let Some(cached) = lru.get(key) {
-                    note_hit(shard, &cached, key.hash);
-                    results[i] = Some(cached);
-                    continue;
-                }
-                let decision = results[i].as_ref().expect("miss was evaluated");
-                lru.insert(key.clone(), decision.clone());
-                shard.misses.fetch_add(1, Ordering::Relaxed);
-                hetsel_obs::static_counter!("hetsel.core.cache.miss").inc();
-                record_decide_event(decision, key.hash, false);
-            }
-        }
-        results
-    }
-
     /// Takes the decision and explains it in the same call: the
     /// explanation is the full evidence behind exactly that decision (see
     /// [`Explanation::describes`](crate::explain::Explanation::describes)).
@@ -2290,16 +2099,9 @@ impl DecisionEngine {
     /// decision cache (the `cached` field reports whether a decision for
     /// this key is currently cached). Returns `None` for an unknown region.
     pub fn explain(&self, region: &str, binding: &Binding) -> Option<crate::explain::Explanation> {
-        let (id, attrs) = self.database.region_entry(region)?;
-        let mut explanation = self.selector.explain(attrs, binding);
-        let key = CacheKey::new(
-            id,
-            DeviceId::FLEET,
-            OWN_POLICY,
-            self.calib_epoch(),
-            attrs,
-            |p| binding.get(p),
-        );
+        let region = self.resolve(region)?;
+        let mut explanation = self.selector.explain(region.attrs, binding);
+        let key = self.key(region, DeviceId::FLEET, None, |p| binding.get(p));
         explanation.cached = self.cache.shard(&key).lru.lock().contains(&key);
         Some(explanation)
     }
@@ -2834,47 +2636,6 @@ mod tests {
         let stats = engine.stats();
         assert!(stats.len <= stats.capacity, "{stats:?}");
         assert_eq!(stats.hits + stats.misses, 199, "{stats:?}");
-    }
-
-    #[test]
-    fn decide_batch_matches_one_by_one_decides() {
-        let kernels: Vec<Kernel> = hetsel_polybench::suite()
-            .into_iter()
-            .flat_map(|b| b.kernels)
-            .collect();
-        let batch_engine = DecisionEngine::new(selector(), &kernels);
-        let solo_engine = DecisionEngine::new(selector(), &kernels);
-        let mut requests: Vec<(String, Binding)> = Vec::new();
-        for bench in hetsel_polybench::suite() {
-            for ds in [Dataset::Mini, Dataset::Benchmark] {
-                for k in &bench.kernels {
-                    requests.push((k.name.clone(), (bench.binding)(ds)));
-                }
-            }
-        }
-        // Unknown regions produce `None` slots without disturbing others;
-        // a duplicate of the first request exercises intra-batch reuse.
-        requests.push(("no-such-region".to_string(), Binding::new()));
-        requests.push(requests[0].clone());
-        let built: Vec<DecisionRequest> = requests
-            .iter()
-            .map(|(r, b)| DecisionRequest::new(r.clone(), b.clone()))
-            .collect();
-        let batched = batch_engine.decide_batch(&built);
-        assert_eq!(batched.len(), requests.len());
-        for (i, (region, b)) in requests.iter().enumerate() {
-            let solo = solo_engine.decide(region, b);
-            assert_eq!(batched[i], solo, "slot {i} ({region}) diverged");
-        }
-        // Identical traffic, identical accounting.
-        let (bs, ss) = (batch_engine.stats(), solo_engine.stats());
-        assert_eq!((bs.hits, bs.misses), (ss.hits, ss.misses));
-        let decided = batched.iter().filter(|d| d.is_some()).count() as u64;
-        assert_eq!(bs.hits + bs.misses, decided);
-        // A second identical batch is all hits.
-        let again = batch_engine.decide_batch(&built);
-        assert_eq!(again, batched);
-        assert_eq!(batch_engine.stats().misses, bs.misses);
     }
 
     #[test]

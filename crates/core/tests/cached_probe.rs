@@ -1,8 +1,9 @@
-//! The cache-only probe, [`DecisionEngine::cached`], against the full
+//! The cache-only probe, [`DecisionEngine::lookup`], against the full
 //! request path it short-circuits.
 //!
-//! A caller (the decision service's admission step) may probe first and
-//! send only the misses on to `decide_batch`. That is sound only if:
+//! The decision service's admission step probes first and decides only
+//! the misses, with [`DecisionEngine::decide_miss`]. That is sound only
+//! if:
 //!
 //! * a miss changes nothing — no statistics, no cache entry, no
 //!   flight-recorder event — so the later decide counts it exactly once;
@@ -18,7 +19,7 @@ use std::time::Duration;
 
 use hetsel_core::{
     CalibrationMode, Calibrator, CalibratorConfig, Decision, DecisionEngine, DecisionRequest,
-    Platform, Policy, Selector,
+    Lookup, Platform, Policy, Selector,
 };
 use hetsel_ir::Kernel;
 use hetsel_polybench::{all_kernels, find_kernel, Dataset};
@@ -39,6 +40,18 @@ fn suite_requests() -> Vec<DecisionRequest> {
         .collect()
 }
 
+/// What the cache alone answers for `request`, as admission probes it:
+/// `resolve`, then `lookup`, the hit's decision cloned. `None` on a miss
+/// and for an unknown region.
+fn probe(engine: &DecisionEngine, request: &DecisionRequest) -> Option<Decision> {
+    let region = engine.resolve(request.region())?;
+    let binding = request.binding();
+    match engine.lookup(region, |p| binding.get(p), request.policy_override()) {
+        Lookup::Hit(cached) => Some(cached.decision().clone()),
+        Lookup::Miss(_) => None,
+    }
+}
+
 /// Equality down to the bits of every predicted time.
 fn assert_bit_identical(a: &Decision, b: &Decision, what: &str) {
     let bits = |v: Option<f64>| v.map(f64::to_bits);
@@ -53,9 +66,9 @@ fn a_probe_miss_leaves_stats_and_cache_untouched() {
     let (_, binding) = find_kernel("gemm").unwrap();
     let request = DecisionRequest::new("gemm", binding(Dataset::Benchmark));
     let cold = engine.stats();
-    assert_eq!(engine.cached(&request), None);
+    assert_eq!(probe(&engine, &request), None);
     assert_eq!(
-        engine.cached(&request.clone().with_policy(Policy::AlwaysHost)),
+        probe(&engine, &request.clone().with_policy(Policy::AlwaysHost)),
         None
     );
     assert_eq!(engine.stats(), cold, "a miss must count and insert nothing");
@@ -63,36 +76,30 @@ fn a_probe_miss_leaves_stats_and_cache_untouched() {
     let decided = engine.decide_request(&request).unwrap();
     let warm = engine.stats();
     assert_eq!((warm.hits, warm.misses, warm.len), (0, 1, 1));
-    // Unknown regions and zero budgets are never answered from the cache
-    // (decide_request degrades a zero budget without looking), and cost
-    // nothing either.
+    // An unknown region does not resolve, and costs nothing either.
     assert_eq!(
-        engine.cached(&DecisionRequest::new(
-            "no-such-region",
-            binding(Dataset::Benchmark)
-        )),
-        None
-    );
-    assert_eq!(
-        engine.cached(&request.clone().with_deadline(Duration::ZERO)),
+        probe(
+            &engine,
+            &DecisionRequest::new("no-such-region", binding(Dataset::Benchmark))
+        ),
         None
     );
     // The override partition is still cold: warming the plain key did not
     // make it answerable.
     assert_eq!(
-        engine.cached(&request.clone().with_policy(Policy::AlwaysHost)),
+        probe(&engine, &request.clone().with_policy(Policy::AlwaysHost)),
         None
     );
     assert_eq!(engine.stats(), warm);
 
-    let hit = engine.cached(&request).expect("the plain key is cached");
+    let hit = probe(&engine, &request).expect("the plain key is cached");
     assert_bit_identical(&hit, &decided, "probe hit vs decide_request");
     let after = engine.stats();
     assert_eq!((after.hits, after.misses, after.len), (1, 1, 1));
 }
 
 #[test]
-fn probing_then_batching_the_misses_keeps_the_accounting_exact() {
+fn probing_then_deciding_the_misses_keeps_the_accounting_exact() {
     let engine = suite_engine(Selector::new(Platform::power9_v100()));
     let reference = suite_engine(Selector::new(Platform::power9_v100()));
     let mut requests = suite_requests();
@@ -104,10 +111,18 @@ fn probing_then_batching_the_misses_keeps_the_accounting_exact() {
     requests.extend(requests[..6].to_vec());
     let before = engine.stats();
 
-    let mut answers: Vec<Option<Decision>> = requests.iter().map(|r| engine.cached(r)).collect();
-    let missed: Vec<usize> = (0..requests.len())
-        .filter(|&i| answers[i].is_none())
-        .collect();
+    // Probe the whole burst before deciding any of it, as admission does
+    // with a burst of lines: a key repeated in the burst misses each time.
+    let mut answers: Vec<Option<Decision>> = vec![None; requests.len()];
+    let mut missed = Vec::new();
+    for (i, request) in requests.iter().enumerate() {
+        let region = engine.resolve(request.region()).expect("suite region");
+        let binding = request.binding();
+        match engine.lookup(region, |p| binding.get(p), request.policy_override()) {
+            Lookup::Hit(cached) => answers[i] = Some(cached.decision().clone()),
+            Lookup::Miss(miss) => missed.push((i, miss)),
+        }
+    }
     assert!(!missed.is_empty() && missed.len() < requests.len());
     let probed = engine.stats();
     assert_eq!(probed.misses, before.misses, "probing never counts a miss");
@@ -116,17 +131,30 @@ fn probing_then_batching_the_misses_keeps_the_accounting_exact() {
         (requests.len() - missed.len()) as u64
     );
 
-    let batch: Vec<DecisionRequest> = missed.iter().map(|&i| requests[i].clone()).collect();
-    for (&i, decision) in missed.iter().zip(engine.decide_batch(&batch)) {
-        answers[i] = decision;
+    // A repeated miss finds its key inserted by the first one: a late hit.
+    let repeats = missed
+        .iter()
+        .filter(|&&(i, _)| {
+            missed
+                .iter()
+                .any(|&(j, _)| j < i && requests[j] == requests[i])
+        })
+        .count() as u64;
+    assert!(repeats > 0, "the burst repeats a missed key");
+    let misses = missed.len() as u64;
+    for (i, miss) in missed {
+        answers[i] = Some(engine.decide_miss(miss, requests[i].binding()));
     }
     let after = engine.stats();
+    assert_eq!(after.misses - probed.misses, misses - repeats);
+    assert_eq!(after.hits - probed.hits, repeats, "late hits");
+    assert_eq!(after.len - probed.len, (misses - repeats) as usize);
     let decided = answers.iter().filter(|d| d.is_some()).count() as u64;
     assert_eq!(decided, requests.len() as u64);
     assert_eq!(
         (after.hits + after.misses) - (before.hits + before.misses),
         decided,
-        "hits + misses == decides across probe and batch"
+        "hits + misses == decides across probe and decide"
     );
     for (request, answer) in requests.iter().zip(&answers) {
         let expected = reference.decide_request(request).unwrap();
@@ -135,7 +163,7 @@ fn probing_then_batching_the_misses_keeps_the_accounting_exact() {
 }
 
 #[test]
-fn cached_hits_equal_decide_request_in_every_partition() {
+fn probe_hits_equal_decide_request_in_every_partition() {
     let engine = suite_engine(Selector::new(Platform::power9_v100()));
     for plain in suite_requests() {
         for request in [
@@ -144,25 +172,27 @@ fn cached_hits_equal_decide_request_in_every_partition() {
             plain.clone().with_policy(Policy::AlwaysOffload),
             plain.clone().with_policy(Policy::ModelDriven),
         ] {
-            assert_eq!(engine.cached(&request), None, "{request:?} starts cold");
+            assert_eq!(probe(&engine, &request), None, "{request:?} starts cold");
             let decided = engine.decide_request(&request).unwrap();
-            let hit = engine.cached(&request).expect("decide_request cached it");
+            let hit = probe(&engine, &request).expect("decide_request cached it");
             assert_bit_identical(&hit, &decided, request.region());
             // And the probe answered what decide_request now answers warm.
             assert_eq!(engine.decide_request(&request).unwrap(), hit);
         }
-        // A live budget keys like the plain request.
+        // A live budget keys like the plain request: its decide is a hit.
         let budgeted = plain.clone().with_deadline(Duration::from_secs(3600));
+        let warm = engine.stats();
         assert_bit_identical(
-            &engine.cached(&budgeted).expect("the plain key is warm"),
-            &engine.decide_request(&plain).unwrap(),
+            &engine.decide_request(&budgeted).unwrap(),
+            &probe(&engine, &plain).expect("the plain key is warm"),
             plain.region(),
         );
+        assert_eq!(engine.stats().misses, warm.misses, "{budgeted:?}");
     }
 }
 
 #[test]
-fn cached_follows_the_active_calibration_epoch() {
+fn probes_follow_the_active_calibration_epoch() {
     let calibrator = Arc::new(Calibrator::new(CalibratorConfig {
         min_samples: 1,
         ..CalibratorConfig::default()
@@ -175,7 +205,7 @@ fn cached_follows_the_active_calibration_epoch() {
     let (_, binding) = find_kernel("gemm").unwrap();
     let request = DecisionRequest::new("gemm", binding(Dataset::Benchmark));
     let cold = engine.decide_request(&request).unwrap();
-    assert_bit_identical(&engine.cached(&request).unwrap(), &cold, "epoch 0");
+    assert_bit_identical(&probe(&engine, &request).unwrap(), &cold, "epoch 0");
 
     // A published correction moves every Active key to the new epoch: the
     // old entry must not answer the probe, and the miss stays uncounted.
@@ -184,14 +214,12 @@ fn cached_follows_the_active_calibration_epoch() {
     calibrator.observe("gemm", "host", tag.class, raw, raw * 1.5);
     assert!(calibrator.epoch() > 0, "the correction published");
     let stale = engine.stats();
-    assert_eq!(engine.cached(&request), None);
+    assert_eq!(probe(&engine, &request), None);
     assert_eq!(engine.stats(), stale);
 
     let corrected = engine.decide_request(&request).unwrap();
     assert!(corrected.calibration.expect("tagged").applied);
-    let hit = engine
-        .cached(&request)
-        .expect("re-decided under the new epoch");
+    let hit = probe(&engine, &request).expect("re-decided under the new epoch");
     assert_bit_identical(&hit, &corrected, "published epoch");
 }
 
@@ -219,11 +247,11 @@ fn a_probe_hit_is_flight_recorded_and_a_miss_is_not() {
     };
     let engine = suite_engine(Selector::new(Platform::power9_v100()));
     hetsel_obs::set_flight_recording(true);
-    assert_eq!(engine.cached(&request), None);
+    assert_eq!(probe(&engine, &request), None);
     let after_miss = (ours(false), ours(true));
     engine.decide_request(&request).unwrap();
     let after_decide = (ours(false), ours(true));
-    engine.cached(&request).unwrap();
+    probe(&engine, &request).unwrap();
     let after_hit = (ours(false), ours(true));
     hetsel_obs::set_flight_recording(false);
     assert_eq!(after_miss, (0, 0), "a probe miss records nothing");

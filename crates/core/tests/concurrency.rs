@@ -1,5 +1,6 @@
 //! Concurrency tests for the sharded decision cache: many threads
-//! hammering `decide()` / `decide_batch()` must produce bit-for-bit the
+//! hammering `decide()`, or `resolve` → `lookup` → `decide_miss` as the
+//! decision service decides, must produce bit-for-bit the
 //! decisions a cold selector computes, keep the cache inside its capacity,
 //! and account every decision as exactly one hit or one miss.
 //!
@@ -11,7 +12,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use hetsel_core::{Decision, DecisionEngine, DecisionRequest, Platform, Selector};
+use hetsel_core::{Decision, DecisionEngine, DecisionRequest, Lookup, Platform, Selector};
 use hetsel_ir::Binding;
 use hetsel_polybench::find_kernel;
 
@@ -26,6 +27,19 @@ fn expected_decisions(ns: impl IntoIterator<Item = i64>) -> HashMap<i64, Decisio
     ns.into_iter()
         .map(|n| (n, s.decide(&kernel, &Binding::new().with("n", n))))
         .collect()
+}
+
+/// Decides `request` the way the decision service does: `resolve`, then
+/// `lookup`, and on a miss `decide_miss`.
+fn decide_via_lookup(engine: &DecisionEngine, request: &DecisionRequest) -> Option<Decision> {
+    let region = engine.resolve(request.region())?;
+    let binding = request.binding();
+    Some(
+        match engine.lookup(region, |p| binding.get(p), request.policy_override()) {
+            Lookup::Hit(cached) => cached.decision().clone(),
+            Lookup::Miss(miss) => engine.decide_miss(miss, binding),
+        },
+    )
 }
 
 /// Spawns `threads` workers, each deciding `per_thread` times by walking
@@ -73,7 +87,7 @@ fn concurrent_decides_are_bit_identical_and_accounted() {
 }
 
 #[test]
-fn concurrent_batches_match_the_cold_path() {
+fn concurrent_lookups_match_the_cold_path() {
     let (kernel, _) = find_kernel("gemm").unwrap();
     let engine = DecisionEngine::with_capacity(selector(), std::slice::from_ref(&kernel), 256);
     let ns: Vec<i64> = (1..=16).collect();
@@ -91,9 +105,9 @@ fn concurrent_batches_match_the_cold_path() {
                     .map(|b| DecisionRequest::new("gemm", b.clone()))
                     .collect();
                 for _ in 0..50 {
-                    let results = engine.decide_batch(&requests);
-                    for (slot, n) in results.iter().zip(ns) {
-                        assert_eq!(slot.as_ref(), Some(&expected[n]));
+                    for (request, n) in requests.iter().zip(ns) {
+                        let decision = decide_via_lookup(engine, request);
+                        assert_eq!(decision.as_ref(), Some(&expected[n]));
                     }
                 }
             });
@@ -174,11 +188,11 @@ fn stress_capacity_thrash_stays_bounded() {
     );
 }
 
-/// Mixed one-shot and batched traffic against the same engine: the two
+/// Mixed `decide` and `lookup` traffic against the same engine: the two
 /// entry points share shards, stats, and decisions.
 #[test]
 #[ignore = "soak test; run with --release -- --ignored stress"]
-fn stress_mixed_decide_and_batch_traffic() {
+fn stress_mixed_decide_and_lookup_traffic() {
     let (kernel, _) = find_kernel("gemm").unwrap();
     let engine = DecisionEngine::with_capacity(selector(), std::slice::from_ref(&kernel), 1024);
     let ns: Vec<i64> = (1..=48).collect();
@@ -199,8 +213,9 @@ fn stress_mixed_decide_and_batch_traffic() {
                         .map(|b| DecisionRequest::new("gemm", b.clone()))
                         .collect();
                     for _ in 0..250 {
-                        for (slot, n) in engine.decide_batch(&requests).iter().zip(ns) {
-                            assert_eq!(slot.as_ref(), Some(&expected[n]));
+                        for (request, n) in requests.iter().zip(ns) {
+                            let decision = decide_via_lookup(engine, request);
+                            assert_eq!(decision.as_ref(), Some(&expected[n]));
                         }
                         decided.fetch_add(requests.len() as u64, Ordering::Relaxed);
                     }

@@ -1,5 +1,5 @@
 //! Release-mode soak: the flight recorder must never block the decide hot
-//! path. Eight threads hammer `decide_batch` with recording enabled while
+//! path. Eight threads hammer `decide_request` with recording enabled while
 //! a drainer thread concurrently snapshots and drains the ring — the
 //! recorder's per-slot seqlock makes writers wait-free (a torn slot is
 //! skipped by readers, never retried by writers), so the soak passing
@@ -19,7 +19,7 @@ use hetsel_polybench::Dataset;
 
 #[test]
 #[ignore = "release-mode soak; run via `cargo test --release -- --ignored stress`"]
-fn stress_flight_recorder_never_blocks_decide_batch() {
+fn stress_flight_recorder_never_blocks_deciding() {
     let kernels: Vec<Kernel> = hetsel_polybench::suite()
         .into_iter()
         .flat_map(|b| b.kernels)
@@ -69,20 +69,21 @@ fn stress_flight_recorder_never_blocks_decide_batch() {
             let expected = expected.clone();
             thread::spawn(move || {
                 for _ in 0..rounds {
-                    let got = engine.decide_batch(&requests);
+                    let got: Vec<Option<_>> =
+                        requests.iter().map(|r| engine.decide_request(r)).collect();
                     assert_eq!(got, expected, "recording must not corrupt decisions");
                 }
             })
         })
         .collect();
     for w in workers {
-        w.join().expect("a decide_batch worker panicked");
+        w.join().expect("a deciding worker panicked");
     }
     stop.store(true, Ordering::Relaxed);
     let drained = drainer.join().expect("the drainer panicked");
     hetsel_obs::set_flight_recording(false);
 
-    // Every batch over R regions appends R decide events; with the
+    // Every round over R regions appends R decide events; with the
     // concurrent drainer racing the ring's wrap-around some may be
     // overwritten before being read, but the recorder's own tally counts
     // every append.

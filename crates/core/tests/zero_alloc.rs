@@ -1,6 +1,6 @@
-//! Proof that a cache-hit `decide` — and the cache-only probes
-//! `DecisionEngine::cached` and `DecisionEngine::cached_parts` — performs
-//! **zero heap allocations**.
+//! Proof that a cache-hit `decide` — and the cache-only probe
+//! `DecisionEngine::resolve` + `DecisionEngine::lookup` — performs **zero
+//! heap allocations**.
 //!
 //! A counting global allocator tallies every `alloc`/`realloc`/
 //! `alloc_zeroed` on a per-thread counter; the test primes the engine (the
@@ -25,8 +25,8 @@ use std::cell::Cell;
 use std::time::Duration;
 
 use hetsel_core::{
-    CalibrationMode, Calibrator, CalibratorConfig, DecisionEngine, DecisionRequest, DeviceId,
-    Dispatcher, DispatcherConfig, Fleet, Platform, Selector,
+    CalibrationMode, Calibrator, CalibratorConfig, Decision, DecisionEngine, DecisionRequest,
+    DeviceId, Dispatcher, DispatcherConfig, Fleet, Lookup, Platform, Policy, Selector,
 };
 use hetsel_polybench::{find_kernel, Dataset};
 
@@ -67,6 +67,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// The decision service's probe of one request: `resolve`, then `lookup`
+/// with `binding` returning a parameter's value by name; a hit's decision
+/// is cloned (a pointer copy), a miss answers `None`.
+fn probe(
+    engine: &DecisionEngine,
+    region: &str,
+    binding: impl Fn(&str) -> Option<i64>,
+    policy_override: Option<Policy>,
+) -> Option<Decision> {
+    match engine.lookup(engine.resolve(region)?, binding, policy_override) {
+        Lookup::Hit(cached) => Some(cached.decision().clone()),
+        Lookup::Miss(_) => None,
+    }
+}
 
 #[test]
 fn cache_hit_decide_allocates_nothing() {
@@ -118,17 +133,15 @@ fn cache_hit_decide_with_flight_recorder_enabled_allocates_nothing() {
         std::slice::from_ref(&kernel),
     );
 
-    // Prime the ring's one-time slot allocation, the cache entry, and
-    // every lazily-created metric before counting.
     let recorder = hetsel_obs::flight_recorder();
     hetsel_obs::set_flight_recording(true);
+    // Prime the ring's one-time slot allocation, the cache entry, and
+    // every lazily-created metric before counting.
     let first = engine.decide("gemm", &b).expect("gemm is known");
     for _ in 0..3 {
         engine.decide("gemm", &b).expect("primed hit");
     }
-
-    let request = DecisionRequest::new("gemm", b.clone());
-    engine.cached(&request).expect("primed probe hit");
+    probe(&engine, "gemm", |p| b.get(p), None).expect("primed probe hit");
 
     let recorded_before = recorder.total_recorded();
     let before = allocs_on_this_thread();
@@ -140,7 +153,7 @@ fn cache_hit_decide_with_flight_recorder_enabled_allocates_nothing() {
     // The same again through the cache-only probe.
     let mut probed = None;
     for _ in 0..1000 {
-        probed = engine.cached(&request);
+        probed = probe(&engine, "gemm", |p| b.get(p), None);
     }
     let after_probes = allocs_on_this_thread();
     hetsel_obs::set_flight_recording(false);
@@ -154,7 +167,7 @@ fn cache_hit_decide_with_flight_recorder_enabled_allocates_nothing() {
     assert_eq!(
         after_probes - after,
         0,
-        "recorded cached hit must not allocate (1000 hits allocated {} times)",
+        "recorded lookup hit must not allocate (1000 hits allocated {} times)",
         after_probes - after
     );
     assert_eq!(last.expect("hit"), first);
@@ -166,11 +179,11 @@ fn cache_hit_decide_with_flight_recorder_enabled_allocates_nothing() {
 }
 
 #[test]
-fn cached_probe_hit_allocates_nothing() {
+fn lookup_hit_allocates_nothing() {
     // The decision service answers cached decisions at admission through
-    // `DecisionEngine::cached`; its hit must be as allocation-free as a
-    // decide hit. The second request carries a policy override and a live
-    // deadline, so key resolution covers both. (The recorder-enabled
+    // `resolve` + `lookup`; its hit must be as allocation-free as a decide
+    // hit. The second request carries a policy override, so key
+    // resolution covers its cache partition. (The recorder-enabled
     // variant runs in the recorder test above: only one test here may
     // toggle the process-wide recording flag.)
     let (kernel, binding) = find_kernel("gemm").unwrap();
@@ -179,17 +192,14 @@ fn cached_probe_hit_allocates_nothing() {
         std::slice::from_ref(&kernel),
     );
     let plain = DecisionRequest::new("gemm", binding(Dataset::Benchmark));
-    let overridden = plain
-        .clone()
-        .with_policy(hetsel_core::Policy::AlwaysHost)
-        .with_deadline(Duration::from_secs(3600));
+    let overridden = plain.clone().with_policy(Policy::AlwaysHost);
     // The same requests as borrowed parts, the way the decision service
     // probes a request line it decoded in place: the binding is a lookup
     // over entries that borrow the line, the last of a repeated name
     // winning.
     let n = binding(Dataset::Benchmark).get("n").expect("gemm binds n");
     let entries = [("m", 7), ("n", n - 1), ("n", n)];
-    let lookup = |name: &str| {
+    let borrowed = |name: &str| {
         entries
             .iter()
             .rev()
@@ -197,43 +207,51 @@ fn cached_probe_hit_allocates_nothing() {
     };
     for request in [&plain, &overridden] {
         let first = engine.decide_request(request).expect("gemm is known");
-        let parts = || {
-            engine.cached_parts(
+        let owned = || {
+            probe(
+                &engine,
                 request.region(),
-                lookup,
+                |p| request.binding().get(p),
                 request.policy_override(),
-                request.deadline(),
+            )
+        };
+        let parts = || {
+            probe(
+                &engine,
+                request.region(),
+                borrowed,
+                request.policy_override(),
             )
         };
         for _ in 0..3 {
-            engine.cached(request).expect("primed hit");
+            owned().expect("primed hit");
             parts().expect("primed borrowed hit");
         }
         let before = allocs_on_this_thread();
         let mut last = None;
         for _ in 0..1000 {
-            last = engine.cached(request);
+            last = owned();
         }
         let after = allocs_on_this_thread();
-        let mut borrowed = None;
+        let mut from_parts = None;
         for _ in 0..1000 {
-            borrowed = parts();
+            from_parts = parts();
         }
         let after_parts = allocs_on_this_thread();
         assert_eq!(
             after - before,
             0,
-            "cached hit must not allocate (1000 hits allocated {} times)",
+            "lookup hit must not allocate (1000 hits allocated {} times)",
             after - before
         );
         assert_eq!(
             after_parts - after,
             0,
-            "borrowed cached hit must not allocate (1000 hits allocated {} times)",
+            "borrowed lookup hit must not allocate (1000 hits allocated {} times)",
             after_parts - after
         );
         assert_eq!(last.expect("hit"), first);
-        assert_eq!(borrowed.expect("borrowed hit"), first);
+        assert_eq!(from_parts.expect("borrowed hit"), first);
     }
 }
 
@@ -337,12 +355,11 @@ fn scoped_cache_hit_decide_allocates_nothing() {
 }
 
 #[test]
-fn dispatch_within_allocates_no_more_than_dispatch() {
-    // `dispatch_within` once cloned the whole request just to attach the
-    // deadline — region string, binding vector and all. The override is
-    // now threaded through the bounded decide path in place, so a warm
-    // deadline-carrying dispatch must have exactly the allocation profile
-    // of a plain one.
+fn a_deadline_dispatch_allocates_as_a_plain_one() {
+    // A budget travels on the request, built once with `with_deadline`:
+    // a warm dispatch carrying one must have exactly the allocation
+    // profile of a plain one. (The bounded entry point this replaced once
+    // cloned the whole request to attach the deadline.)
     let (kernel, binding) = find_kernel("gemm").unwrap();
     let b = binding(Dataset::Benchmark);
     let engine = DecisionEngine::new(
@@ -353,15 +370,15 @@ fn dispatch_within_allocates_no_more_than_dispatch() {
     let request = DecisionRequest::new("gemm", b);
     // A deadline no warm decision can miss: the decision itself stays
     // un-degraded, so both loops below execute the identical path apart
-    // from how the deadline reaches the engine.
-    let generous = Duration::from_secs(3600);
+    // from the deadline check.
+    let bounded = request.clone().with_deadline(Duration::from_secs(3600));
 
     // Prime the cache, the accuracy cells, and every lazily-created
     // metric on both variants before counting.
     for _ in 0..3 {
         dispatcher.dispatch(&request).expect("healthy dispatch");
         dispatcher
-            .dispatch_within(&request, generous)
+            .dispatch(&bounded)
             .expect("healthy bounded dispatch");
     }
 
@@ -375,13 +392,13 @@ fn dispatch_within_allocates_no_more_than_dispatch() {
     let before = allocs_on_this_thread();
     for _ in 0..N {
         dispatcher
-            .dispatch_within(&request, generous)
+            .dispatch(&bounded)
             .expect("healthy bounded dispatch");
     }
-    let bounded = allocs_on_this_thread() - before;
+    let with_deadline = allocs_on_this_thread() - before;
 
     assert_eq!(
-        bounded, plain,
-        "deadline override must not clone the request ({bounded} allocs over {N} bounded dispatches vs {plain} plain)"
+        with_deadline, plain,
+        "a deadline must cost no allocation ({with_deadline} allocs over {N} bounded dispatches vs {plain} plain)"
     );
 }

@@ -137,16 +137,16 @@ fn the_request_api_surface_is_stable() {
         DecisionEngine::decide_request
     );
     pin!(
-        fn(&DecisionEngine, &DecisionRequest, Duration) -> Option<Decision>,
-        DecisionEngine::decide_within
-    );
-    pin!(
-        fn(&DecisionEngine, &[DecisionRequest]) -> Vec<Option<Decision>>,
-        DecisionEngine::decide_batch
+        fn(&DecisionEngine, &str) -> Option<Decision>,
+        DecisionEngine::degraded
     );
     pin!(
         fn(&DecisionEngine, &str, &Binding) -> Option<Explanation>,
         DecisionEngine::explain
+    );
+    pin!(
+        fn(&DecisionEngine, &str, &Binding) -> Option<(Decision, Explanation)>,
+        DecisionEngine::decide_explained
     );
 
     // --- Dispatcher: the fault-tolerant runtime -------------------------
@@ -157,10 +157,6 @@ fn the_request_api_surface_is_stable() {
     pin!(
         fn(&Dispatcher, &DecisionRequest) -> Result<DispatchOutcome, DispatchError>,
         Dispatcher::dispatch
-    );
-    pin!(
-        fn(&Dispatcher, &DecisionRequest, Duration) -> Result<DispatchOutcome, DispatchError>,
-        Dispatcher::dispatch_within
     );
     pin!(
         fn(&Dispatcher, &DecisionRequest) -> Result<(DispatchOutcome, Explanation), DispatchError>,

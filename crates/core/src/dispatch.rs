@@ -45,6 +45,7 @@ use crate::fleet::DeviceId;
 use crate::selector::{Decision, DecisionEngine, DecisionRequest, Device};
 use hetsel_fault::{FaultKind, FaultPlan, InjectedFailure};
 use hetsel_ir::Binding;
+use hetsel_obs::{Counter, Gauge};
 use parking_lot::Mutex;
 
 /// Circuit-breaker tuning.
@@ -340,11 +341,48 @@ struct BreakerCore {
     probing: bool,
 }
 
+/// One device's metrics, taken from the registry once, when its health
+/// record is built, so a dispatch counts itself without building a name
+/// or searching the registry. Names derive from the fleet's *interned
+/// label*, so the classic pair — labels `host` and `gpu` — keeps every
+/// historical metric name.
+#[derive(Debug)]
+struct DeviceMetrics {
+    /// `hetsel.core.breaker.<label>.state`.
+    breaker_state: Arc<Gauge>,
+    /// `hetsel.core.breaker.<label>.trip`.
+    breaker_trips: Arc<Counter>,
+    /// `hetsel.core.dispatch.faults.<label>`.
+    faults: Arc<Counter>,
+    /// `hetsel.core.flight.<label>.events`.
+    flight_events: Arc<Counter>,
+    /// `hetsel.core.accuracy.<label>.samples`.
+    accuracy_samples: Arc<Counter>,
+    /// `hetsel.core.accuracy.<label>.flips`.
+    accuracy_flips: Arc<Counter>,
+}
+
+impl DeviceMetrics {
+    fn new(label: &str) -> DeviceMetrics {
+        let registry = hetsel_obs::registry();
+        let leaf = |base, leaf| hetsel_obs::metrics::device_leaf_metric_name(base, label, leaf);
+        DeviceMetrics {
+            breaker_state: registry.gauge(&leaf("hetsel.core.breaker", "state")),
+            breaker_trips: registry.counter(&leaf("hetsel.core.breaker", "trip")),
+            faults: registry.counter(&hetsel_obs::metrics::device_metric_name(
+                "hetsel.core.dispatch.faults",
+                label,
+            )),
+            flight_events: registry.counter(&leaf("hetsel.core.flight", "events")),
+            accuracy_samples: registry.counter(&leaf("hetsel.core.accuracy", "samples")),
+            accuracy_flips: registry.counter(&leaf("hetsel.core.accuracy", "flips")),
+        }
+    }
+}
+
 /// One device's health record: the breaker, the in-flight capacity gate,
-/// and lifetime tallies. Tallies are atomics outside the lock so snapshots
-/// are cheap. Metric names derive from the fleet's *interned label*
-/// (`hetsel.core.breaker.<label>.state` / `.trip`), so the classic pair —
-/// labels `host` and `gpu` — keeps every historical metric name.
+/// lifetime tallies and the device's metrics. Tallies are atomics outside
+/// the lock so snapshots are cheap.
 #[derive(Debug)]
 struct DeviceHealth {
     id: DeviceId,
@@ -356,6 +394,7 @@ struct DeviceHealth {
     successes: AtomicU64,
     failures: AtomicU64,
     trips: AtomicU64,
+    metrics: DeviceMetrics,
 }
 
 impl DeviceHealth {
@@ -366,12 +405,9 @@ impl DeviceHealth {
         capacity: u32,
         cfg: &BreakerConfig,
     ) -> DeviceHealth {
-        hetsel_obs::registry()
-            .gauge(&hetsel_obs::metrics::device_leaf_metric_name(
-                "hetsel.core.breaker",
-                &label,
-                "state",
-            ))
+        let metrics = DeviceMetrics::new(&label);
+        metrics
+            .breaker_state
             .set(BreakerState::Closed.gauge_value());
         DeviceHealth {
             id,
@@ -389,17 +425,12 @@ impl DeviceHealth {
             successes: AtomicU64::new(0),
             failures: AtomicU64::new(0),
             trips: AtomicU64::new(0),
+            metrics,
         }
     }
 
     fn publish_state(&self, state: BreakerState) {
-        hetsel_obs::registry()
-            .gauge(&hetsel_obs::metrics::device_leaf_metric_name(
-                "hetsel.core.breaker",
-                &self.label,
-                "state",
-            ))
-            .set(state.gauge_value());
+        self.metrics.breaker_state.set(state.gauge_value());
     }
 
     /// Publishes a breaker *transition* (not a republish): updates the
@@ -513,13 +544,7 @@ impl DeviceHealth {
                     core.opened_at = now;
                     core.backoff = cfg.open_backoff.max(1);
                     self.trips.fetch_add(1, Ordering::Relaxed);
-                    hetsel_obs::registry()
-                        .counter(&hetsel_obs::metrics::device_leaf_metric_name(
-                            "hetsel.core.breaker",
-                            &self.label,
-                            "trip",
-                        ))
-                        .inc();
+                    self.metrics.breaker_trips.inc();
                     self.note_transition(BreakerState::Open, now);
                 }
             }
@@ -530,13 +555,7 @@ impl DeviceHealth {
                 core.backoff = core.backoff.saturating_mul(2).min(cfg.max_backoff.max(1));
                 core.probing = false;
                 self.trips.fetch_add(1, Ordering::Relaxed);
-                hetsel_obs::registry()
-                    .counter(&hetsel_obs::metrics::device_leaf_metric_name(
-                        "hetsel.core.breaker",
-                        &self.label,
-                        "trip",
-                    ))
-                    .inc();
+                self.metrics.breaker_trips.inc();
                 self.note_transition(BreakerState::Open, now);
             }
             // A failure from an attempt admitted before the trip: the
@@ -937,12 +956,23 @@ impl Dispatcher {
         device: DeviceId,
         now: u64,
     ) {
-        hetsel_obs::registry()
-            .counter(&format!(
-                "hetsel.core.dispatch.fallback.{}",
-                reason.metric_key()
-            ))
-            .inc();
+        // One cached counter per reason: a sick device falls back on every
+        // dispatch, so no name is built or looked up here.
+        match reason {
+            FallbackReason::DeadlineExceeded => {
+                hetsel_obs::static_counter!("hetsel.core.dispatch.fallback.deadline_exceeded")
+            }
+            FallbackReason::BreakerOpen { .. } => {
+                hetsel_obs::static_counter!("hetsel.core.dispatch.fallback.breaker_open")
+            }
+            FallbackReason::CapacityExhausted { .. } => {
+                hetsel_obs::static_counter!("hetsel.core.dispatch.fallback.capacity_exhausted")
+            }
+            FallbackReason::DeviceFault { .. } => {
+                hetsel_obs::static_counter!("hetsel.core.dispatch.fallback.device_fault")
+            }
+        }
+        .inc();
         hetsel_obs::record_event(|| {
             let mut ev = hetsel_obs::DecisionEvent::new(hetsel_obs::EventKind::Fallback, region);
             ev.tick = now;
@@ -965,6 +995,7 @@ impl Dispatcher {
     /// i.e. the model picked the wrong side of the CPU/accelerator boundary.
     fn observe_outcome(&self, region: &str, outcome: &DispatchOutcome, now: u64) {
         let decision = &outcome.decision;
+        let metrics = &self.health[outcome.device_id.0 as usize].metrics;
         hetsel_obs::record_event(|| {
             let mut ev =
                 hetsel_obs::DecisionEvent::new(hetsel_obs::EventKind::DispatchComplete, region);
@@ -978,13 +1009,7 @@ impl Dispatcher {
             ev
         });
         if hetsel_obs::flight_recording_enabled() {
-            hetsel_obs::registry()
-                .counter(&hetsel_obs::metrics::device_leaf_metric_name(
-                    "hetsel.core.flight",
-                    &outcome.device_name,
-                    "events",
-                ))
-                .inc();
+            metrics.flight_events.inc();
         }
         // One calibration sample per completed dispatch: the *raw* model
         // prediction for the executed device (the tag keeps it even when the
@@ -1020,21 +1045,9 @@ impl Dispatcher {
         let observed_s = outcome.simulated_s;
         let flip = pred_other.is_some_and(|other| (predicted_s <= other) != (observed_s <= other));
         hetsel_obs::accuracy().observe(region, &outcome.device_name, predicted_s, observed_s, flip);
-        hetsel_obs::registry()
-            .counter(&hetsel_obs::metrics::device_leaf_metric_name(
-                "hetsel.core.accuracy",
-                &outcome.device_name,
-                "samples",
-            ))
-            .inc();
+        metrics.accuracy_samples.inc();
         if flip {
-            hetsel_obs::registry()
-                .counter(&hetsel_obs::metrics::device_leaf_metric_name(
-                    "hetsel.core.accuracy",
-                    &outcome.device_name,
-                    "flips",
-                ))
-                .inc();
+            metrics.accuracy_flips.inc();
         }
     }
 
@@ -1098,12 +1111,7 @@ impl Dispatcher {
                 }
                 Err(InjectedFailure::Unresolvable) => return Err(ExecFailure::Unresolvable),
                 Err(InjectedFailure::Fault(fault)) => {
-                    hetsel_obs::registry()
-                        .counter(&hetsel_obs::metrics::device_metric_name(
-                            "hetsel.core.dispatch.faults",
-                            &health.label,
-                        ))
-                        .inc();
+                    health.metrics.faults.inc();
                     health.on_failure(&self.config.breaker, now);
                     match fault.kind {
                         FaultKind::Transient if attempt < max_attempts => {

@@ -172,6 +172,36 @@ fn sanitize_prediction(outcome: Result<f64, ModelError>) -> (Option<f64>, Option
     }
 }
 
+/// Counts one failed model under `hetsel.core.fallback.<metric_key>`,
+/// through one cached counter per variant: an unbound binding fails every
+/// model of every decision, so no name is built or looked up here.
+fn count_fallback(err: &ModelError) {
+    match err {
+        ModelError::UnboundSymbol { .. } => {
+            hetsel_obs::static_counter!("hetsel.core.fallback.unbound_symbol")
+        }
+        ModelError::ZeroTrip => hetsel_obs::static_counter!("hetsel.core.fallback.zero_trip"),
+        ModelError::ZeroThreads => hetsel_obs::static_counter!("hetsel.core.fallback.zero_threads"),
+        ModelError::UnsupportedShape { .. } => {
+            hetsel_obs::static_counter!("hetsel.core.fallback.unsupported_shape")
+        }
+        ModelError::NonFinitePrediction { .. } => {
+            hetsel_obs::static_counter!("hetsel.core.fallback.non_finite_prediction")
+        }
+        ModelError::DeadlineExceeded => {
+            hetsel_obs::static_counter!("hetsel.core.fallback.deadline_exceeded")
+        }
+        // `ModelError` is non-exhaustive: a later variant counts by name.
+        other => {
+            hetsel_obs::registry()
+                .counter(&format!("hetsel.core.fallback.{}", other.metric_key()))
+                .inc();
+            return;
+        }
+    }
+    .inc();
+}
+
 /// Per-decision calibration working set: the binding class plus the
 /// correction factors for every candidate, resolved once (from the
 /// selector's [`Calibrator`]) before composition so the comparison,
@@ -721,9 +751,7 @@ impl Selector {
                 .chain(sanitized.iter().map(|(_, _, e)| e))
                 .flatten()
             {
-                hetsel_obs::registry()
-                    .counter(&format!("hetsel.core.fallback.{}", err.metric_key()))
-                    .inc();
+                count_fallback(err);
             }
         }
         Decision {

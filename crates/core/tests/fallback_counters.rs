@@ -1,0 +1,110 @@
+//! The fallback counters, in a test binary of their own: they are
+//! process-wide, and a sibling test deciding or dispatching on another
+//! thread would move them.
+//!
+//! A model-driven decision counts each failed model once under
+//! `hetsel.core.fallback.<reason>`, and a dispatch counts each fallback
+//! once under `hetsel.core.dispatch.fallback.<reason>`, where `<reason>`
+//! is the failure's `metric_key`.
+
+use std::sync::Arc;
+use std::time::Duration;
+
+use hetsel_core::{
+    BreakerConfig, DecisionEngine, DecisionRequest, Dispatcher, DispatcherConfig, Fleet, Platform,
+    Policy, Selector,
+};
+use hetsel_fault::FaultPlan;
+use hetsel_ir::Binding;
+use hetsel_models::ModelError;
+use hetsel_obs::Counter;
+use hetsel_polybench::{find_kernel, Dataset};
+
+fn model_fallbacks(err: &ModelError) -> Arc<Counter> {
+    hetsel_obs::registry().counter(&format!("hetsel.core.fallback.{}", err.metric_key()))
+}
+
+/// Dispatches `request` and checks that its outcome fell back for
+/// `reason` and that `reason`'s counter moved by exactly one.
+fn dispatch_falls_back_once(dispatcher: &Dispatcher, request: &DecisionRequest, reason: &str) {
+    let counter =
+        hetsel_obs::registry().counter(&format!("hetsel.core.dispatch.fallback.{reason}"));
+    let before = counter.get();
+    let outcome = dispatcher.dispatch(request).expect("the host completes it");
+    assert_eq!(outcome.fallback.map(|f| f.metric_key()), Some(reason));
+    assert_eq!(counter.get(), before + 1, "{reason}");
+}
+
+#[test]
+fn each_failure_counts_once_under_its_reason() {
+    let (kernel, binding) = find_kernel("gemm").unwrap();
+    let kernels = std::slice::from_ref(&kernel);
+    let platform = Platform::power9_v100();
+    let pair = Selector::new(platform.clone());
+
+    // gemm without `n`: every model the decision consults fails unbound.
+    let unbound = model_fallbacks(&ModelError::UnboundSymbol { name: "n".into() });
+    let before = unbound.get();
+    let decision = pair.decide(&kernel, &Binding::new());
+    assert!(matches!(
+        decision.cpu_error,
+        Some(ModelError::UnboundSymbol { .. })
+    ));
+    assert_eq!(unbound.get(), before + 2, "the host and one accelerator");
+    let trio = pair
+        .clone()
+        .with_fleet(Fleet::pair(&platform).with_accelerator_from("k80", &Platform::power8_k80()));
+    let before = unbound.get();
+    trio.decide(&kernel, &Binding::new());
+    assert_eq!(unbound.get(), before + 3, "the host and two accelerators");
+    // A policy that consults no model counts nothing, and an engine counts
+    // an evaluation, not the cache hit that replays it.
+    let before = unbound.get();
+    pair.clone()
+        .with_policy(Policy::AlwaysHost)
+        .decide(&kernel, &Binding::new());
+    assert_eq!(unbound.get(), before);
+    let engine = DecisionEngine::new(pair.clone(), kernels);
+    engine.decide("gemm", &Binding::new()).unwrap();
+    engine.decide("gemm", &Binding::new()).unwrap();
+    assert_eq!(unbound.get(), before + 2);
+
+    // A non-finite prediction counts under its own reason.
+    let non_finite = model_fallbacks(&ModelError::non_finite(f64::NAN));
+    let before = non_finite.get();
+    pair.decide_from_outcomes("r", Some(Ok(f64::NAN)), &[Some(Ok(1.0))]);
+    assert_eq!(non_finite.get(), before + 1);
+
+    // Dispatch: a permanent accelerator fault trips its breaker at once,
+    // and the open breaker then refuses the accelerator.
+    let request = DecisionRequest::new("gemm", binding(Dataset::Benchmark));
+    let faulty = Dispatcher::new(
+        DecisionEngine::new(pair.clone(), kernels),
+        DispatcherConfig::default()
+            .with_device_faults("gpu", FaultPlan::permanent(7, 1.0))
+            .with_breaker(BreakerConfig {
+                failure_threshold: 1,
+                open_backoff: 1_000,
+                max_backoff: 1_000,
+            }),
+    );
+    dispatch_falls_back_once(&faulty, &request, "device_fault");
+    dispatch_falls_back_once(&faulty, &request, "breaker_open");
+    let healthy = Dispatcher::new(
+        DecisionEngine::new(pair.clone(), kernels),
+        DispatcherConfig::default(),
+    );
+    dispatch_falls_back_once(
+        &healthy,
+        &request.clone().with_deadline(Duration::ZERO),
+        "deadline_exceeded",
+    );
+    let gated = Dispatcher::new(
+        DecisionEngine::new(
+            pair.with_fleet(Fleet::pair(&platform).with_capacity("gpu", 0)),
+            kernels,
+        ),
+        DispatcherConfig::default(),
+    );
+    dispatch_falls_back_once(&gated, &request, "capacity_exhausted");
+}

@@ -18,7 +18,8 @@
 //! (the default — the two original tests) the hot path pays one relaxed
 //! load; with recording *enabled* the event is written into the
 //! preallocated lock-free ring, so even the instrumented path stays
-//! allocation-free once the ring's one-time `Box` exists.
+//! allocation-free once the ring's one-time `Box` exists. A dispatch
+//! allocates (the simulators do), but recording adds nothing to it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -133,8 +134,42 @@ fn cache_hit_decide_with_flight_recorder_enabled_allocates_nothing() {
         std::slice::from_ref(&kernel),
     );
 
+    // Recording adds nothing to a dispatch either. The dispatcher is
+    // primed with recording off only, so a metric the recorded path took
+    // from the registry on first use would show as a difference below.
     let recorder = hetsel_obs::flight_recorder();
+    let dispatcher = Dispatcher::new(
+        DecisionEngine::new(
+            Selector::new(Platform::power9_v100()),
+            std::slice::from_ref(&kernel),
+        ),
+        DispatcherConfig::default(),
+    );
+    let request = DecisionRequest::new("gemm", b.clone());
+    for _ in 0..3 {
+        dispatcher.dispatch(&request).expect("healthy dispatch");
+    }
+    const N: u64 = 50;
+    let dispatch_allocs = || {
+        let before = allocs_on_this_thread();
+        for _ in 0..N {
+            dispatcher.dispatch(&request).expect("healthy dispatch");
+        }
+        allocs_on_this_thread() - before
+    };
+    let unrecorded = dispatch_allocs();
+    let recorded_before = recorder.total_recorded();
     hetsel_obs::set_flight_recording(true);
+    let recorded = dispatch_allocs();
+    assert!(
+        recorder.total_recorded() >= recorded_before + N,
+        "the recorded dispatches really were recorded"
+    );
+    assert_eq!(
+        recorded, unrecorded,
+        "recording must add no allocation to a dispatch ({recorded} allocs over {N} recorded dispatches vs {unrecorded} unrecorded)"
+    );
+
     // Prime the ring's one-time slot allocation, the cache entry, and
     // every lazily-created metric before counting.
     let first = engine.decide("gemm", &b).expect("gemm is known");

@@ -107,8 +107,6 @@ impl Completion {
 pub struct PendingRequest {
     /// The parsed envelope, without its deadline (see `expires`).
     pub serve: ServeRequest,
-    /// When admission accepted it (latency measurement anchor).
-    pub admitted: Instant,
     /// Absolute expiry instant, when the request carried a deadline.
     /// Serve enforces this with the timer thread — a *real* timer that
     /// answers the moment the budget runs out, not a post-hoc elapsed
@@ -128,7 +126,6 @@ impl PendingRequest {
         PendingRequest {
             expires,
             serve,
-            admitted: Instant::now(),
             done: Completion::default(),
         }
     }

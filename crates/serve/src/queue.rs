@@ -183,11 +183,6 @@ impl<T> AdmissionQueue<T> {
     pub fn depth(&self) -> usize {
         self.lock().items.len()
     }
-
-    /// True once [`AdmissionQueue::close`] ran.
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
-    }
 }
 
 #[cfg(test)]

@@ -349,17 +349,6 @@ impl ServerHandle {
     pub fn call(&self, serve: ServeRequest) -> ServeReply {
         self.submit(serve).done.wait()
     }
-
-    /// Convenience: submit with backpressure admission and block for the
-    /// reply.
-    pub fn call_wait(&self, serve: ServeRequest) -> ServeReply {
-        self.submit_wait(serve).done.wait()
-    }
-
-    /// Current admission-queue depth.
-    pub fn queue_depth(&self) -> usize {
-        self.inner.queue.depth()
-    }
 }
 
 /// The running server: dispatch-executor thread + deadline-timer thread

@@ -40,9 +40,10 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::attributes::RegionAttributes;
+use crate::engine::DecisionEngine;
 use crate::explain::{DispatchTerms, Explanation};
 use crate::fleet::DeviceId;
-use crate::selector::{Decision, DecisionEngine, DecisionRequest, Device};
+use crate::selector::{Decision, DecisionRequest, Device};
 use hetsel_fault::{FaultKind, FaultPlan, InjectedFailure};
 use hetsel_ir::Binding;
 use hetsel_obs::{Counter, Gauge};

@@ -964,8 +964,8 @@ pub fn validate_report_json(json: &str) -> Result<ExplainReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::DecisionEngine;
     use crate::platform::Platform;
-    use crate::selector::DecisionEngine;
     use hetsel_ir::Kernel;
     use hetsel_polybench::{find_kernel, Dataset};
 

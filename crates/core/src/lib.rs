@@ -18,6 +18,7 @@
 pub mod attributes;
 pub mod calib;
 pub mod dispatch;
+pub mod engine;
 pub mod explain;
 pub mod fleet;
 pub mod history;
@@ -39,6 +40,10 @@ pub use dispatch::{
     BreakerConfig, BreakerState, DeviceHealthSnapshot, DispatchError, DispatchOutcome, Dispatcher,
     DispatcherConfig, FallbackReason, RetryConfig,
 };
+pub use engine::{
+    CacheMiss, CachedDecision, DecisionCacheStats, DecisionEngine, Lookup, ResolvedRegion,
+    DEFAULT_DECISION_CACHE, DEFAULT_DECISION_SHARDS,
+};
 pub use explain::{
     validate_report_json, AccuracyBlock, BoundParam, CalibrationBlock, CpuTerms, DevicePrediction,
     DispatchTerms, ExplainReport, Explanation, GpuTerms, PhaseTimings,
@@ -48,9 +53,8 @@ pub use history::AdaptiveSelector;
 pub use platform::Platform;
 pub use program::{plan_program, ProgramPlan};
 pub use selector::{
-    choose_among, choose_device, geomean, CacheMiss, CachedDecision, Decision, DecisionCacheStats,
-    DecisionEngine, DecisionRequest, Device, DeviceChoice, Evaluation, Lookup, Measured,
-    ModelSource, Policy, ResolvedRegion, Selector, DEFAULT_DECISION_CACHE, DEFAULT_DECISION_SHARDS,
+    choose_among, choose_device, geomean, Decision, DecisionRequest, Device, DeviceChoice,
+    Evaluation, Measured, ModelSource, Policy, Selector,
 };
 pub use snapshot::SnapshotError;
 pub use split::{best_split, SplitDecision};

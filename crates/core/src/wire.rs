@@ -6,7 +6,7 @@
 //! service's reply types (held to it by `hetsel-serve`'s
 //! `tests/reply_json.rs`). The engine renders each cached decision with it
 //! once, on the entry's first hit
-//! ([`CachedDecision::json`](crate::selector::CachedDecision::json)), and
+//! ([`CachedDecision::json`](crate::engine::CachedDecision::json)), and
 //! the service renders every other reply's decision with it; the string,
 //! float and flag writers are the ones the service's reply envelopes use.
 

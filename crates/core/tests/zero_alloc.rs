@@ -393,8 +393,7 @@ fn scoped_cache_hit_decide_allocates_nothing() {
 fn a_deadline_dispatch_allocates_as_a_plain_one() {
     // A budget travels on the request, built once with `with_deadline`:
     // a warm dispatch carrying one must have exactly the allocation
-    // profile of a plain one. (The bounded entry point this replaced once
-    // cloned the whole request to attach the deadline.)
+    // profile of a plain one.
     let (kernel, binding) = find_kernel("gemm").unwrap();
     let b = binding(Dataset::Benchmark);
     let engine = DecisionEngine::new(

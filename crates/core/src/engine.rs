@@ -679,9 +679,9 @@ impl DecisionEngine {
     /// cached copy (bit-identical — the models are deterministic in the
     /// key) and counts a late hit, so `misses == insertions` holds exactly
     /// even under concurrent duplicate misses. Together with
-    /// [`DecisionEngine::probe`] it is the only code that reads or writes
-    /// a cache entry, so every decision is counted and flight-recorded the
-    /// same way.
+    /// [`DecisionEngine::probe`] it is the only code that takes a decision
+    /// from the cache or puts one in, so every decision is counted and
+    /// flight-recorded the same way.
     fn insert_miss(&self, key: CacheKey, decision: Decision) -> Decision {
         let shard = self.cache.shard(&key);
         let mut lru = shard.lru.lock();

@@ -15,8 +15,8 @@
 use std::sync::Arc;
 
 use hetsel_core::{
-    CalibrationMode, Calibrator, CalibratorConfig, Decision, DecisionEngine, Device, Platform,
-    Selector,
+    CalibrationMode, Calibrator, CalibratorConfig, Decision, DecisionEngine, Device, Fleet,
+    Platform, Selector,
 };
 use hetsel_polybench::{all_kernels, find_kernel, Dataset};
 
@@ -223,6 +223,75 @@ fn epoch_movement_invalidates_lazily_not_per_sample() {
         warm.hits + 1,
         "still the cached verdict"
     );
+}
+
+/// An explanation under calibration is the evidence behind its decision:
+/// with warm cells in Shadow and Active mode, on the pair fleet and on a
+/// host + v100 + k80 fleet, `decide_explained`'s explanation describes
+/// its decision and its calibration block carries the decision's tag
+/// field for field — flips included.
+#[test]
+fn explain_matches_decide_under_calibration() {
+    let platform = Platform::power9_v100();
+    let trio = Fleet::pair_labeled(&platform, "v100")
+        .with_accelerator_from("k80", &Platform::power8_k80());
+    let kernels: Vec<_> = all_kernels().into_iter().map(|(_, k, _)| k).collect();
+    let bits = |v: Option<f64>| v.map(f64::to_bits);
+    for (fleet_name, fleet) in [("pair", Fleet::pair(&platform)), ("trio", trio)] {
+        for mode in [CalibrationMode::Shadow, CalibrationMode::Active] {
+            let cal = Arc::new(Calibrator::new(eager_config()));
+            let selector = Selector::new(platform.clone())
+                .with_fleet(fleet.clone())
+                .with_calibration(mode)
+                .with_calibrator(Arc::clone(&cal));
+            // Warm the Benchmark-class cells: every other region's chosen
+            // device is taught a 1000x misprediction (a flip), the rest a
+            // mild host bias. Test-class cells stay cold. The engine is
+            // built afterwards, so its Shadow cache holds no decision
+            // tagged before the cells warmed.
+            for (i, (_, kernel, binding)) in all_kernels().into_iter().enumerate() {
+                let name = kernel.name.as_str();
+                let b = binding(Dataset::Benchmark);
+                let d = selector.decide(&kernel, &b);
+                let tag = d.calibration.expect("model-driven decisions carry a tag");
+                let (label, raw, ratio) = if i % 2 == 0 {
+                    let raw = if d.device_id.is_host() {
+                        tag.raw_cpu_s
+                    } else {
+                        tag.raw_gpu_s
+                    };
+                    (&*d.device_name, raw, 1e3)
+                } else {
+                    ("host", tag.raw_cpu_s, 1.5)
+                };
+                if let Some(raw) = raw {
+                    cal.observe(name, label, tag.class, raw, raw * ratio);
+                }
+            }
+            let engine = DecisionEngine::new(selector, &kernels);
+            let mut flips = 0;
+            for (_, kernel, binding) in all_kernels() {
+                let name = kernel.name.as_str();
+                for ds in [Dataset::Test, Dataset::Benchmark] {
+                    let (d, e) = engine.decide_explained(name, &binding(ds)).unwrap();
+                    let at = format!("{fleet_name}/{}/{name}/{ds:?}", mode.name());
+                    assert!(e.describes(&d), "{at}: explanation diverges\n{e:?}\n{d:?}");
+                    let tag = d.calibration.expect("tagged");
+                    let block = e.calibration.expect("explained under calibration");
+                    assert_eq!(block.mode, mode.name(), "{at}");
+                    assert_eq!(block.class, tag.class.0, "{at}");
+                    assert_eq!(bits(block.raw_cpu_s), bits(tag.raw_cpu_s), "{at}");
+                    assert_eq!(bits(block.raw_gpu_s), bits(tag.raw_gpu_s), "{at}");
+                    assert_eq!(block.cpu_factor.to_bits(), tag.cpu_factor.to_bits(), "{at}");
+                    assert_eq!(block.gpu_factor.to_bits(), tag.gpu_factor.to_bits(), "{at}");
+                    assert_eq!(block.applied, tag.applied, "{at}");
+                    assert_eq!(block.flipped, tag.flipped, "{at}");
+                    flips += usize::from(tag.flipped);
+                }
+            }
+            assert!(flips > 0, "{fleet_name}/{}: no flip exercised", mode.name());
+        }
+    }
 }
 
 #[test]

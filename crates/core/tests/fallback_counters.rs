@@ -5,20 +5,25 @@
 //! A model-driven decision counts each failed model once under
 //! `hetsel.core.fallback.<reason>`, and a dispatch counts each fallback
 //! once under `hetsel.core.dispatch.fallback.<reason>`, where `<reason>`
-//! is the failure's `metric_key`.
+//! is the failure's `metric_key`. An explanation counts nothing.
+//!
+//! The tests take [`SERIAL`] so that neither moves a counter while the
+//! other reads it.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use hetsel_core::{
-    BreakerConfig, DecisionEngine, DecisionRequest, Dispatcher, DispatcherConfig, Fleet, Platform,
-    Policy, Selector,
+    BreakerConfig, CalibrationMode, Calibrator, CalibratorConfig, DecisionEngine, DecisionRequest,
+    Dispatcher, DispatcherConfig, Fleet, Platform, Policy, Selector,
 };
 use hetsel_fault::FaultPlan;
 use hetsel_ir::Binding;
 use hetsel_models::ModelError;
 use hetsel_obs::Counter;
 use hetsel_polybench::{find_kernel, Dataset};
+
+static SERIAL: Mutex<()> = Mutex::new(());
 
 fn model_fallbacks(err: &ModelError) -> Arc<Counter> {
     hetsel_obs::registry().counter(&format!("hetsel.core.fallback.{}", err.metric_key()))
@@ -37,6 +42,7 @@ fn dispatch_falls_back_once(dispatcher: &Dispatcher, request: &DecisionRequest, 
 
 #[test]
 fn each_failure_counts_once_under_its_reason() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let (kernel, binding) = find_kernel("gemm").unwrap();
     let kernels = std::slice::from_ref(&kernel);
     let platform = Platform::power9_v100();
@@ -107,4 +113,81 @@ fn each_failure_counts_once_under_its_reason() {
         DispatcherConfig::default(),
     );
     dispatch_falls_back_once(&gated, &request, "capacity_exhausted");
+}
+
+/// The counters a decision moves: one per device under
+/// `hetsel.core.decisions.<label>`, one per failed model under
+/// `hetsel.core.fallback.<reason>`, and the calibration flip counters.
+fn decision_counters() -> Vec<(String, u64)> {
+    hetsel_obs::registry()
+        .snapshot()
+        .counters
+        .into_iter()
+        .filter(|(name, _)| {
+            name.starts_with("hetsel.core.decisions.")
+                || name.starts_with("hetsel.core.fallback.")
+                || name == "hetsel.core.calib.flip"
+                || name == "hetsel.core.calib.shadow_flip"
+        })
+        .collect()
+}
+
+#[test]
+fn explain_counts_nothing() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let (kernel, binding) = find_kernel("gemm").unwrap();
+    let b = binding(Dataset::Benchmark);
+    let cal = Arc::new(Calibrator::new(CalibratorConfig {
+        min_samples: 1,
+        max_abs_log: f64::INFINITY,
+        epoch_threshold: 0.0,
+        capacity: 256,
+    }));
+    let engine = |mode| {
+        let selector = Selector::new(Platform::power9_v100())
+            .with_calibration(mode)
+            .with_calibrator(Arc::clone(&cal));
+        DecisionEngine::new(selector, std::slice::from_ref(&kernel))
+    };
+    let (active, shadow) = (
+        engine(CalibrationMode::Active),
+        engine(CalibrationMode::Shadow),
+    );
+    // Warm the chosen device's cell with a 1000x misprediction: the
+    // Active verdict flips, and the Shadow one would.
+    let d = active.decide("gemm", &b).unwrap();
+    let tag = d.calibration.unwrap();
+    let raw = if d.device_id.is_host() {
+        tag.raw_cpu_s
+    } else {
+        tag.raw_gpu_s
+    }
+    .unwrap();
+    cal.observe("gemm", &d.device_name, tag.class, raw, raw * 1e3);
+
+    let before = decision_counters();
+    for engine in [&active, &shadow] {
+        let unbound = engine.explain("gemm", &Binding::new()).unwrap();
+        assert!(unbound.cpu_error.is_some() && unbound.gpu_error.is_some());
+        let flipped = engine.explain("gemm", &b).unwrap();
+        assert!(flipped.calibration.unwrap().flipped, "the cell is warm");
+    }
+    assert_eq!(
+        decision_counters(),
+        before,
+        "explain moved a decision counter"
+    );
+
+    // The same flip through `decide` does count: the check above can see one.
+    let flips = hetsel_obs::registry().counter("hetsel.core.calib.flip");
+    let flips_before = flips.get();
+    assert!(
+        active
+            .decide("gemm", &b)
+            .unwrap()
+            .calibration
+            .unwrap()
+            .flipped
+    );
+    assert_eq!(flips.get(), flips_before + 1);
 }

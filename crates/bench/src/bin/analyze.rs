@@ -150,9 +150,9 @@ fn main() {
         let d = sel.decide(&kernel, &b);
         println!(
             "[decision ] {} (predicted speedup {:.2}x) — {}",
-            d.device,
+            d.device_id.kind(),
             d.predicted_speedup().unwrap_or(f64::NAN),
-            if d.device == m.best_device() {
+            if d.device_id.kind() == m.best_device() {
                 "correct"
             } else {
                 "WRONG"

@@ -107,7 +107,7 @@ fn run_mode(mode: CalibrationMode) -> ModeBlock {
                 }
                 let measured = oracle.measure(&kernel, &b).expect("simulators run");
                 total += 1;
-                if d.device == measured.best_device() {
+                if d.device_id.kind() == measured.best_device() {
                     correct += 1;
                 }
             }

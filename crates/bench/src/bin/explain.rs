@@ -148,7 +148,7 @@ fn main() {
                 .expect("kernel came from the database and the host is healthy");
             explanations.push(explanation);
         }
-        dispatcher.publish_health();
+        dispatcher.publish_health_all();
         dispatcher.engine().publish_stats();
         stats = dispatcher.engine().stats();
     } else {

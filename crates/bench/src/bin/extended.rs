@@ -29,8 +29,8 @@ fn main() {
                         fmt_time(m.cpu_s),
                         fmt_time(m.gpu_s),
                         m.speedup().unwrap_or(f64::NAN),
-                        format!("{}", d.device),
-                        if d.device == m.best_device() {
+                        format!("{}", d.device_id.kind()),
+                        if d.device_id.kind() == m.best_device() {
                             "ok"
                         } else {
                             "WRONG"

@@ -17,7 +17,7 @@
 //! `results/fault_sweep.json`.
 
 use hetsel_core::{
-    BreakerConfig, DecisionEngine, DecisionRequest, Device, Dispatcher, DispatcherConfig,
+    BreakerConfig, DecisionEngine, DecisionRequest, DeviceId, Dispatcher, DispatcherConfig,
     FallbackReason, Platform, Selector,
 };
 use hetsel_fault::FaultPlan;
@@ -161,9 +161,10 @@ fn main() {
             match dispatcher.dispatch(request) {
                 Ok(outcome) => {
                     point.completed += 1;
-                    match outcome.device {
-                        Device::Gpu => point.ran_on_gpu += 1,
-                        _ => point.ran_on_host += 1,
+                    if outcome.device_id.is_host() {
+                        point.ran_on_host += 1;
+                    } else {
+                        point.ran_on_gpu += 1;
                     }
                     point.attempts += u64::from(outcome.attempts);
                     point.retries += u64::from(outcome.retries);
@@ -182,7 +183,9 @@ fn main() {
                 Err(_) => point.failed += 1,
             }
         }
-        let health = dispatcher.health(Device::Gpu);
+        let health = dispatcher
+            .health_by_id(DeviceId(1))
+            .expect("the pair fleet registers its accelerator as id 1");
         point.gpu_breaker_trips = health.trips;
         point.gpu_breaker_final = health.state.name().to_string();
         point.mean_simulated_s = if point.completed > 0 {

@@ -292,9 +292,8 @@ fn main() {
                     while start.elapsed() < phase {
                         in_flight.clear();
                         for _ in 0..depth {
-                            in_flight.push(
-                                handle.submit_wait(ServeRequest::new(traffic.request(&mut rng))),
-                            );
+                            in_flight
+                                .push(handle.submit(ServeRequest::new(traffic.request(&mut rng))));
                         }
                         for pending in &in_flight {
                             if pending.done.wait().status() == "ok" {

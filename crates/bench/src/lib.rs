@@ -83,7 +83,7 @@ pub fn run_suite(platform: &Platform, ds: Dataset, selector: &Selector) -> Vec<K
             measured,
             predicted_cpu_s: decision.predicted_cpu_s,
             predicted_gpu_s: decision.predicted_gpu_s,
-            decision: decision.device,
+            decision: decision.device_id.kind(),
         });
     }
     let _ = platform;

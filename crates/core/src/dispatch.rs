@@ -43,7 +43,7 @@ use crate::attributes::RegionAttributes;
 use crate::engine::DecisionEngine;
 use crate::explain::{DispatchTerms, Explanation};
 use crate::fleet::DeviceId;
-use crate::selector::{Decision, DecisionRequest, Device};
+use crate::selector::{Decision, DecisionRequest};
 use hetsel_fault::{FaultKind, FaultPlan, InjectedFailure};
 use hetsel_ir::Binding;
 use hetsel_obs::{Counter, Gauge};
@@ -177,19 +177,19 @@ pub enum FallbackReason {
     DeadlineExceeded,
     /// A breaker rejected the request on this device.
     BreakerOpen {
-        /// The device kind whose breaker was open.
-        device: Device,
+        /// The device whose breaker was open.
+        device: DeviceId,
     },
     /// The device had no in-flight capacity left; the request spilled to
     /// the next candidate.
     CapacityExhausted {
-        /// The device kind that was at capacity.
-        device: Device,
+        /// The device that was at capacity.
+        device: DeviceId,
     },
     /// The device exhausted its attempts (or faulted permanently).
     DeviceFault {
-        /// The faulting device kind.
-        device: Device,
+        /// The faulting device.
+        device: DeviceId,
         /// The final fault kind on that device.
         kind: FaultKind,
     },
@@ -224,13 +224,13 @@ impl std::fmt::Display for FallbackReason {
         match self {
             FallbackReason::DeadlineExceeded => write!(f, "decision deadline exceeded"),
             FallbackReason::BreakerOpen { device } => {
-                write!(f, "{device} breaker open")
+                write!(f, "breaker open on device {device}")
             }
             FallbackReason::CapacityExhausted { device } => {
-                write!(f, "{device} capacity exhausted")
+                write!(f, "capacity exhausted on device {device}")
             }
             FallbackReason::DeviceFault { device, kind } => {
-                write!(f, "{kind} fault on {device}")
+                write!(f, "{kind} fault on device {device}")
             }
         }
     }
@@ -244,10 +244,8 @@ pub struct DispatchOutcome {
     /// The decision that routed the request (deadline degradation
     /// included).
     pub decision: Decision,
-    /// The kind of device the request finally ran on (may differ from
-    /// `decision.device` after a fallback).
-    pub device: Device,
-    /// Fleet id of the device the request finally ran on.
+    /// Fleet id of the device the request finally ran on (may differ from
+    /// `decision.device_id` after a fallback).
     pub device_id: DeviceId,
     /// Interned fleet label of the device the request finally ran on.
     pub device_name: Arc<str>,
@@ -313,8 +311,6 @@ impl std::error::Error for DispatchError {}
 /// Point-in-time view of one device's health.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceHealthSnapshot {
-    /// The kind of device observed.
-    pub device: Device,
     /// Fleet id of the device observed.
     pub device_id: DeviceId,
     /// Current breaker state.
@@ -388,7 +384,6 @@ impl DeviceMetrics {
 struct DeviceHealth {
     id: DeviceId,
     label: Arc<str>,
-    device: Device,
     capacity: u32,
     inflight: AtomicU32,
     core: Mutex<BreakerCore>,
@@ -399,13 +394,7 @@ struct DeviceHealth {
 }
 
 impl DeviceHealth {
-    fn new(
-        id: DeviceId,
-        label: Arc<str>,
-        device: Device,
-        capacity: u32,
-        cfg: &BreakerConfig,
-    ) -> DeviceHealth {
+    fn new(id: DeviceId, label: Arc<str>, capacity: u32, cfg: &BreakerConfig) -> DeviceHealth {
         let metrics = DeviceMetrics::new(&label);
         metrics
             .breaker_state
@@ -413,7 +402,6 @@ impl DeviceHealth {
         DeviceHealth {
             id,
             label,
-            device,
             capacity,
             inflight: AtomicU32::new(0),
             core: Mutex::new(BreakerCore {
@@ -568,7 +556,6 @@ impl DeviceHealth {
     fn snapshot(&self) -> DeviceHealthSnapshot {
         let core = self.core.lock();
         DeviceHealthSnapshot {
-            device: self.device,
             device_id: self.id,
             state: core.state,
             consecutive_failures: core.consecutive_failures,
@@ -631,7 +618,6 @@ impl Dispatcher {
         health.push(DeviceHealth::new(
             DeviceId::HOST,
             fleet.host_label_arc().clone(),
-            Device::Host,
             fleet.host_capacity(),
             &config.breaker,
         ));
@@ -639,7 +625,6 @@ impl Dispatcher {
             health.push(DeviceHealth::new(
                 DeviceId((i + 1) as u16),
                 accel.label_arc().clone(),
-                Device::Gpu,
                 accel.capacity,
                 &config.breaker,
             ));
@@ -670,39 +655,10 @@ impl Dispatcher {
         &self.config
     }
 
-    /// Current breaker state of the kind-level `device` view: the host, or
-    /// the *primary* accelerator for [`Device::Gpu`] (`Closed` when the
-    /// fleet has none — a breaker that cannot trip never opens).
-    pub fn breaker_state(&self, device: Device) -> BreakerState {
-        match self.health_of(device) {
-            Some(health) => health.core.lock().state,
-            None => BreakerState::Closed,
-        }
-    }
-
     /// Current breaker state of the fleet device `id`, or `None` for an
     /// unregistered id.
     pub fn breaker_state_by_id(&self, id: DeviceId) -> Option<BreakerState> {
         self.health.get(id.0 as usize).map(|h| h.core.lock().state)
-    }
-
-    /// Current health snapshot of the kind-level `device` view (the primary
-    /// accelerator for [`Device::Gpu`]; a synthesized always-closed snapshot
-    /// when the fleet registers no accelerator).
-    pub fn health(&self, device: Device) -> DeviceHealthSnapshot {
-        match self.health_of(device) {
-            Some(health) => health.snapshot(),
-            None => DeviceHealthSnapshot {
-                device,
-                device_id: DeviceId(1),
-                state: BreakerState::Closed,
-                consecutive_failures: 0,
-                successes: 0,
-                failures: 0,
-                trips: 0,
-                backoff: self.config.breaker.open_backoff.max(1),
-            },
-        }
     }
 
     /// Current health snapshot of the fleet device `id`, or `None` for an
@@ -711,18 +667,9 @@ impl Dispatcher {
         self.health.get(id.0 as usize).map(|h| h.snapshot())
     }
 
-    /// Re-publishes both pair-view breaker-state gauges (they are also kept
-    /// current on every transition); returns the `(host, gpu)` snapshots.
-    pub fn publish_health(&self) -> (DeviceHealthSnapshot, DeviceHealthSnapshot) {
-        for health in &self.health {
-            let snapshot = health.snapshot();
-            health.publish_state(snapshot.state);
-        }
-        (self.health(Device::Host), self.health(Device::Gpu))
-    }
-
-    /// Re-publishes every device's breaker-state gauge; returns one
-    /// snapshot per fleet device, in id order.
+    /// Re-publishes every device's breaker-state gauge (they are also kept
+    /// current on every transition); returns one snapshot per fleet device,
+    /// in id order.
     pub fn publish_health_all(&self) -> Vec<DeviceHealthSnapshot> {
         self.health
             .iter()
@@ -785,13 +732,12 @@ impl Dispatcher {
 
         for id in order {
             let health = &self.health[id.0 as usize];
-            let device = health.device;
             // Capacity gates before the breaker so a spilled request never
             // consumes the device's single half-open probe slot.
             if !health.try_acquire() {
                 self.note_fallback(
                     &mut fallback,
-                    FallbackReason::CapacityExhausted { device },
+                    FallbackReason::CapacityExhausted { device: id },
                     request.region(),
                     id,
                     now,
@@ -802,7 +748,7 @@ impl Dispatcher {
                 health.release();
                 self.note_fallback(
                     &mut fallback,
-                    FallbackReason::BreakerOpen { device },
+                    FallbackReason::BreakerOpen { device: id },
                     request.region(),
                     id,
                     now,
@@ -826,7 +772,6 @@ impl Dispatcher {
                 Ok(run_s) => {
                     let outcome = DispatchOutcome {
                         decision,
-                        device,
                         device_id: id,
                         device_name: health.label.clone(),
                         attempts,
@@ -841,7 +786,7 @@ impl Dispatcher {
                     any_fault = true;
                     self.note_fallback(
                         &mut fallback,
-                        FallbackReason::DeviceFault { device, kind },
+                        FallbackReason::DeviceFault { device: id, kind },
                         request.region(),
                         id,
                         now,
@@ -870,7 +815,6 @@ impl Dispatcher {
                 Ok(run_s) => {
                     let outcome = DispatchOutcome {
                         decision,
-                        device: Device::Host,
                         device_id: DeviceId::HOST,
                         device_name: host.label.clone(),
                         attempts,
@@ -886,7 +830,7 @@ impl Dispatcher {
                     self.note_fallback(
                         &mut fallback,
                         FallbackReason::DeviceFault {
-                            device: Device::Host,
+                            device: DeviceId::HOST,
                             kind,
                         },
                         request.region(),
@@ -921,28 +865,27 @@ impl Dispatcher {
             .engine
             .explain(request.region(), request.binding())
             .expect("region dispatched, so it explains");
+        // A host-only fleet has no primary accelerator (id 1) whose breaker
+        // could trip: it reads closed.
+        let breaker = |id| {
+            self.breaker_state_by_id(id)
+                .unwrap_or(BreakerState::Closed)
+                .name()
+                .to_string()
+        };
         explanation.dispatch = Some(DispatchTerms {
             device: outcome.device_name.to_string(),
             attempts: outcome.attempts,
             retries: outcome.retries,
             fallback: outcome.fallback.map(|f| f.metric_key().to_string()),
             simulated_s: outcome.simulated_s,
-            gpu_breaker: self.breaker_state(Device::Gpu).name().to_string(),
-            cpu_breaker: self.breaker_state(Device::Host).name().to_string(),
+            gpu_breaker: breaker(DeviceId(1)),
+            cpu_breaker: breaker(DeviceId::HOST),
         });
         if let Some(row) = hetsel_obs::accuracy().lookup(request.region(), &outcome.device_name) {
             explanation.accuracy = Some(crate::explain::AccuracyBlock::from_row(&row));
         }
         Ok((outcome, explanation))
-    }
-
-    /// The kind-level health view: the host record, or the *primary*
-    /// accelerator's for [`Device::Gpu`] (`None` on a host-only fleet).
-    fn health_of(&self, device: Device) -> Option<&DeviceHealth> {
-        match device {
-            Device::Gpu => self.health.get(1),
-            Device::Host => self.health.first(),
-        }
     }
 
     /// Records a fallback event: counts every occurrence, keeps the first
@@ -1002,7 +945,7 @@ impl Dispatcher {
                 hetsel_obs::DecisionEvent::new(hetsel_obs::EventKind::DispatchComplete, region);
             ev.tick = now;
             ev.device = outcome.device_id.0;
-            ev.verdict_accel = decision.device == Device::Gpu;
+            ev.verdict_accel = !decision.device_id.is_host();
             ev.detail = outcome.fallback.as_ref().map_or(0, fallback_code);
             ev.predicted_cpu_s = decision.predicted_cpu_s.unwrap_or(f64::NAN);
             ev.predicted_accel_s = decision.predicted_gpu_s.unwrap_or(f64::NAN);
@@ -1172,12 +1115,18 @@ mod tests {
             .decide("gemm", request.binding())
             .unwrap();
         assert_eq!(outcome.decision, decision);
-        assert_eq!(outcome.device, decision.device);
+        assert_eq!(outcome.device_id, decision.device_id);
         assert!(outcome.clean());
         assert_eq!((outcome.attempts, outcome.retries), (1, 0));
         assert!(outcome.simulated_s > 0.0);
-        assert_eq!(dispatcher.breaker_state(Device::Gpu), BreakerState::Closed);
-        assert_eq!(dispatcher.breaker_state(Device::Host), BreakerState::Closed);
+        assert_eq!(
+            dispatcher.breaker_state_by_id(DeviceId(1)),
+            Some(BreakerState::Closed)
+        );
+        assert_eq!(
+            dispatcher.breaker_state_by_id(DeviceId::HOST),
+            Some(BreakerState::Closed)
+        );
     }
 
     #[test]
@@ -1208,8 +1157,8 @@ mod tests {
             }
         );
         // No breaker was charged: the failure is a modelling limitation.
-        assert_eq!(dispatcher.health(Device::Gpu).failures, 0);
-        assert_eq!(dispatcher.health(Device::Host).failures, 0);
+        assert_eq!(dispatcher.health_by_id(DeviceId(1)).unwrap().failures, 0);
+        assert_eq!(dispatcher.health_by_id(DeviceId::HOST).unwrap().failures, 0);
     }
 
     #[test]
@@ -1222,12 +1171,12 @@ mod tests {
         let outcome = dispatcher
             .dispatch(&gemm_request(Dataset::Benchmark))
             .unwrap();
-        assert_eq!(outcome.decision.device, Device::Gpu);
-        assert_eq!(outcome.device, Device::Host);
+        assert_eq!(outcome.decision.device_id, DeviceId(1));
+        assert_eq!(outcome.device_id, DeviceId::HOST);
         assert_eq!(
             outcome.fallback,
             Some(FallbackReason::DeviceFault {
-                device: Device::Gpu,
+                device: DeviceId(1),
                 kind: FaultKind::Permanent,
             })
         );
@@ -1244,18 +1193,21 @@ mod tests {
         // Three dispatches = three GPU failures = the threshold.
         for _ in 0..3 {
             let outcome = dispatcher.dispatch(&request).unwrap();
-            assert_eq!(outcome.device, Device::Host);
+            assert_eq!(outcome.device_id, DeviceId::HOST);
         }
-        assert_eq!(dispatcher.breaker_state(Device::Gpu), BreakerState::Open);
-        assert_eq!(dispatcher.health(Device::Gpu).trips, 1);
+        assert_eq!(
+            dispatcher.breaker_state_by_id(DeviceId(1)),
+            Some(BreakerState::Open)
+        );
+        assert_eq!(dispatcher.health_by_id(DeviceId(1)).unwrap().trips, 1);
         // While open, the GPU is not even attempted: the fallback reason
         // becomes BreakerOpen and the host serves directly.
         let outcome = dispatcher.dispatch(&request).unwrap();
-        assert_eq!(outcome.device, Device::Host);
+        assert_eq!(outcome.device_id, DeviceId::HOST);
         assert_eq!(
             outcome.fallback,
             Some(FallbackReason::BreakerOpen {
-                device: Device::Gpu
+                device: DeviceId(1)
             })
         );
         assert_eq!(outcome.attempts, 1, "only the host ran");
@@ -1281,24 +1233,33 @@ mod tests {
         for _ in 0..2 {
             dispatcher.dispatch(&request).unwrap();
         }
-        assert_eq!(dispatcher.breaker_state(Device::Gpu), BreakerState::Open);
+        assert_eq!(
+            dispatcher.breaker_state_by_id(DeviceId(1)),
+            Some(BreakerState::Open)
+        );
         let opened_at = 1u64; // second dispatch, now = 1
                               // Dispatches at now = 2, 3 are still inside the backoff window
                               // (2 and 3 < opened_at + 3 = 4): load-shed, no GPU attempt.
         for _ in 0..2 {
             let outcome = dispatcher.dispatch(&request).unwrap();
             assert_eq!(outcome.attempts, 1);
-            assert_eq!(dispatcher.breaker_state(Device::Gpu), BreakerState::Open);
+            assert_eq!(
+                dispatcher.breaker_state_by_id(DeviceId(1)),
+                Some(BreakerState::Open)
+            );
         }
         // now = 4 = opened_at + backoff: half-open probe admitted; it fails
         // (p=1), so the breaker re-opens with doubled backoff.
-        let before = dispatcher.health(Device::Gpu).backoff;
+        let before = dispatcher.health_by_id(DeviceId(1)).unwrap().backoff;
         let outcome = dispatcher.dispatch(&request).unwrap();
         assert!(outcome.attempts > 1, "the probe ran on the GPU");
-        assert_eq!(dispatcher.breaker_state(Device::Gpu), BreakerState::Open);
-        let after = dispatcher.health(Device::Gpu).backoff;
+        assert_eq!(
+            dispatcher.breaker_state_by_id(DeviceId(1)),
+            Some(BreakerState::Open)
+        );
+        let after = dispatcher.health_by_id(DeviceId(1)).unwrap().backoff;
         assert_eq!(after, (before * 2).min(8), "failed probe doubles backoff");
-        assert_eq!(dispatcher.health(Device::Gpu).trips, 2);
+        assert_eq!(dispatcher.health_by_id(DeviceId(1)).unwrap().trips, 2);
         let _ = opened_at;
     }
 
@@ -1320,7 +1281,7 @@ mod tests {
         let outcome = dispatcher
             .dispatch(&gemm_request(Dataset::Benchmark))
             .unwrap();
-        assert_eq!(outcome.device, Device::Host);
+        assert_eq!(outcome.device_id, DeviceId::HOST);
         assert_eq!(outcome.attempts, 4, "3 GPU attempts + 1 host attempt");
         assert_eq!(outcome.retries, 2, "two retries after the first fault");
         // The backoff (1e-4 + 2e-4) is charged to simulated time.
@@ -1331,7 +1292,7 @@ mod tests {
         assert_eq!(
             outcome.fallback,
             Some(FallbackReason::DeviceFault {
-                device: Device::Gpu,
+                device: DeviceId(1),
                 kind: FaultKind::Transient,
             })
         );
@@ -1369,7 +1330,7 @@ mod tests {
             .unwrap();
         assert_eq!(outcome.decision.policy, Policy::AlwaysOffload);
         assert_eq!(outcome.fallback, Some(FallbackReason::DeadlineExceeded));
-        assert_eq!(outcome.device, Device::Gpu, "compiler default offloads");
+        assert_eq!(outcome.device_id, DeviceId(1), "compiler default offloads");
         assert!(outcome.simulated_s > 0.0, "the request still completed");
     }
 
@@ -1401,14 +1362,20 @@ mod tests {
         // Everything faults: the dispatch fails, both breakers trip.
         let err = dispatcher.dispatch(&request).unwrap_err();
         assert!(matches!(err, DispatchError::AllDevicesFailed { .. }));
-        assert_eq!(dispatcher.breaker_state(Device::Gpu), BreakerState::Open);
-        assert_eq!(dispatcher.breaker_state(Device::Host), BreakerState::Open);
+        assert_eq!(
+            dispatcher.breaker_state_by_id(DeviceId(1)),
+            Some(BreakerState::Open)
+        );
+        assert_eq!(
+            dispatcher.breaker_state_by_id(DeviceId::HOST),
+            Some(BreakerState::Open)
+        );
         // Next dispatch: both breakers reject, but the host is force-probed
         // anyway (and faults again — the guarantee is the *attempt*).
-        let before = dispatcher.health(Device::Host).failures;
+        let before = dispatcher.health_by_id(DeviceId::HOST).unwrap().failures;
         let _ = dispatcher.dispatch(&request).unwrap_err();
         assert!(
-            dispatcher.health(Device::Host).failures > before,
+            dispatcher.health_by_id(DeviceId::HOST).unwrap().failures > before,
             "the forced host probe executed despite the open breaker"
         );
     }
@@ -1425,13 +1392,14 @@ mod tests {
             assert_eq!(outcome.retries, 0);
             assert_eq!(outcome.attempts, 1);
         }
-        for device in [Device::Gpu, Device::Host] {
-            let snapshot = dispatcher.health(device);
+        for device in [DeviceId(1), DeviceId::HOST] {
+            let snapshot = dispatcher.health_by_id(device).unwrap();
             assert_eq!(snapshot.failures, 0, "{device}");
             assert_eq!(snapshot.trips, 0, "{device}");
         }
         assert_eq!(
-            dispatcher.health(Device::Gpu).successes + dispatcher.health(Device::Host).successes,
+            dispatcher.health_by_id(DeviceId(1)).unwrap().successes
+                + dispatcher.health_by_id(DeviceId::HOST).unwrap().successes,
             3
         );
     }
@@ -1466,11 +1434,10 @@ mod tests {
         );
         assert_eq!(&*outcome.device_name, "v100", "the peer absorbs the spill");
         assert_eq!(outcome.device_id, DeviceId(2));
-        assert_eq!(outcome.device, Device::Gpu);
         assert!(matches!(
             outcome.fallback,
             Some(FallbackReason::DeviceFault {
-                device: Device::Gpu,
+                device: DeviceId(1),
                 kind: FaultKind::Permanent,
             })
         ));
@@ -1480,6 +1447,32 @@ mod tests {
             0,
             "the host was never touched"
         );
+    }
+
+    #[test]
+    fn a_fault_on_the_second_accelerator_names_it() {
+        // Model-driven gemm picks the faster v100, the fleet's second
+        // accelerator: its fault is recorded under its own id, not the
+        // primary's, and the request spills to the peer.
+        let config = DispatcherConfig::default()
+            .with_device_faults("v100", FaultPlan::permanent(23, 1.0))
+            .with_breaker(breaker());
+        let dispatcher = Dispatcher::new(two_accel_engine(false), config);
+        let outcome = dispatcher
+            .dispatch(&gemm_request(Dataset::Benchmark))
+            .unwrap();
+        assert_eq!(
+            outcome.decision.device_id,
+            DeviceId(2),
+            "the models pick v100"
+        );
+        let reason = FallbackReason::DeviceFault {
+            device: DeviceId(2),
+            kind: FaultKind::Permanent,
+        };
+        assert_eq!(outcome.fallback, Some(reason));
+        assert_eq!(reason.to_string(), "permanent fault on device 2");
+        assert_eq!(outcome.device_id, DeviceId(1), "the peer absorbs the spill");
     }
 
     #[test]
@@ -1513,7 +1506,7 @@ mod tests {
         assert!(matches!(
             outcome.fallback,
             Some(FallbackReason::BreakerOpen {
-                device: Device::Gpu
+                device: DeviceId(1)
             })
         ));
         assert_eq!(outcome.attempts, 1, "only the healthy peer ran");
@@ -1542,7 +1535,7 @@ mod tests {
         assert_eq!(
             outcome.fallback,
             Some(FallbackReason::CapacityExhausted {
-                device: Device::Gpu
+                device: DeviceId(1)
             })
         );
         assert_eq!(outcome.attempts, 1, "the gated device was never executed");
@@ -1570,7 +1563,7 @@ mod tests {
         assert_eq!(terms.device, &*outcome.device_name);
         assert_eq!(
             terms.device,
-            outcome.device.name(),
+            outcome.device_id.kind().name(),
             "pair labels are host/gpu"
         );
         assert_eq!((terms.attempts, terms.retries), (1, 0));

@@ -10,7 +10,7 @@ use std::time::Instant;
 use crate::attributes::{AttributeDatabase, RegionAttributes, RegionId};
 use crate::calib::CalibrationMode;
 use crate::fleet::DeviceId;
-use crate::selector::{Decision, DecisionRequest, Device, Policy, Selector};
+use crate::selector::{Decision, DecisionRequest, Policy, Selector};
 use crate::wire::DecisionFields;
 use hetsel_ir::{Binding, Kernel};
 use hetsel_models::ModelError;
@@ -461,7 +461,7 @@ fn record_decide_event(decision: &Decision, binding_hash: u64, cache_hit: bool) 
             hetsel_obs::DecisionEvent::new(hetsel_obs::EventKind::Decide, &decision.region);
         ev.binding_hash = binding_hash;
         ev.device = decision.device_id.0;
-        ev.verdict_accel = decision.device == Device::Gpu;
+        ev.verdict_accel = !decision.device_id.is_host();
         ev.cache_hit = cache_hit;
         ev.predicted_cpu_s = decision.predicted_cpu_s.unwrap_or(f64::NAN);
         ev.predicted_accel_s = decision.predicted_gpu_s.unwrap_or(f64::NAN);
@@ -481,7 +481,7 @@ fn record_decide_event(decision: &Decision, binding_hash: u64, cache_hit: bool) 
                 );
                 ev.binding_hash = binding_hash;
                 ev.device = decision.device_id.0;
-                ev.verdict_accel = decision.device == Device::Gpu;
+                ev.verdict_accel = !decision.device_id.is_host();
                 ev.detail = u8::from(tag.applied);
                 ev.predicted_cpu_s = tag.raw_cpu_s.unwrap_or(f64::NAN);
                 ev.predicted_accel_s = tag.raw_gpu_s.unwrap_or(f64::NAN);
@@ -844,12 +844,13 @@ impl DecisionEngine {
         &self,
         request: &DecisionRequest,
     ) -> Option<(Decision, bool)> {
-        let start = Instant::now();
         let deadline = request.deadline();
         if deadline.is_some_and(|d| d.is_zero()) {
             // No budget at all: don't even evaluate.
             return self.degraded(request.region()).map(|d| (d, true));
         }
+        // Only a request with a budget reads the clock.
+        let budget = deadline.map(|d| (Instant::now(), d));
         let decision = {
             let _timer = hetsel_obs::static_histogram!("hetsel.core.decide.ns").start_timer();
             let region = self.resolve(request.region())?;
@@ -858,7 +859,7 @@ impl DecisionEngine {
         // The computed decision is cached above, so a blown budget does
         // not waste the ~µs cold evaluation: the reply degrades, but a
         // retry of the same key is a warm hit.
-        if deadline.is_some_and(|d| start.elapsed() > d) {
+        if budget.is_some_and(|(start, d)| start.elapsed() > d) {
             return Some((self.deadline_degraded(request.region()), true));
         }
         Some((decision, false))
@@ -881,17 +882,15 @@ impl DecisionEngine {
     fn deadline_degraded(&self, region: &str) -> Decision {
         hetsel_obs::static_counter!("hetsel.core.decide.deadline_exceeded").inc();
         let fleet = &self.selector.fleet;
-        let (device, device_id, device_name) = match fleet.primary_accelerator() {
+        let (device_id, device_name) = match fleet.primary_accelerator() {
             Some(id) => (
-                Device::Gpu,
                 id,
                 fleet.label_arc(id).expect("primary id resolves").clone(),
             ),
-            None => (Device::Host, DeviceId::HOST, fleet.host_label_arc().clone()),
+            None => (DeviceId::HOST, fleet.host_label_arc().clone()),
         };
         Decision {
             region: Arc::from(region),
-            device,
             device_id,
             device_name,
             policy: Policy::AlwaysOffload,
@@ -1021,6 +1020,7 @@ mod tests {
     use crate::fleet::Fleet;
     use crate::platform::Platform;
     use crate::selector::tests::selector;
+    use crate::selector::Device;
     use hetsel_polybench::{find_kernel, Dataset};
     use std::time::Duration;
 
@@ -1096,7 +1096,7 @@ mod tests {
         let d1 = engine.decide("gemm", &Binding::new()).unwrap();
         let d2 = engine.decide("gemm", &Binding::new()).unwrap();
         assert_eq!(d1, d2);
-        assert_eq!(d1.device, Device::Gpu);
+        assert_eq!(d1.device_id.kind(), Device::Gpu);
         assert!(d1.cpu_error.is_some());
         let stats = engine.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
@@ -1169,11 +1169,11 @@ mod tests {
         assert_eq!(&*primary.device_name, full.device_name.as_ref());
         // A host-scoped decision cannot offload.
         let host = engine.decide_for("gemm", &b, DeviceId::HOST).unwrap();
-        assert_eq!(host.device, Device::Host);
+        assert_eq!(host.device_id.kind(), Device::Host);
         assert!(host.predicted_cpu_s.is_some());
         // The k80 scope carries the true fleet identity.
         let k80 = engine.decide_for("gemm", &b, DeviceId(2)).unwrap();
-        if k80.device == Device::Gpu {
+        if k80.device_id.kind() == Device::Gpu {
             assert_eq!((&*k80.device_name, k80.device_id), ("k80", DeviceId(2)));
         }
         // Scoped and whole-fleet decisions are cached under distinct keys.
@@ -1271,7 +1271,7 @@ mod tests {
         let request = DecisionRequest::new("gemm", b.clone()).with_policy(Policy::AlwaysHost);
         let host = engine.decide_request(&request).unwrap();
         assert_eq!(
-            (host.device, host.policy),
+            (host.device_id.kind(), host.policy),
             (Device::Host, Policy::AlwaysHost)
         );
         // The override populated its own policy partition...
@@ -1322,7 +1322,7 @@ mod tests {
             .decide_request(&tight_host.clone().with_deadline(Duration::from_secs(3600)))
             .unwrap();
         assert_eq!(engine.stats().hits, 2);
-        assert_eq!(retried.device, Device::Host);
+        assert_eq!(retried.device_id.kind(), Device::Host);
         assert_eq!(retried.policy, Policy::AlwaysHost);
     }
 
@@ -1378,7 +1378,7 @@ mod tests {
         // Insert another decision under the cached key: the entry's
         // decision is replaced in place, and its rendering with it.
         let mut replaced = first.clone();
-        replaced.device = Device::Host;
+        replaced.device_id = DeviceId::HOST;
         replaced.predicted_cpu_s = first.predicted_cpu_s.map(|s| s / 3.0);
         assert_ne!(rendered(&replaced), rendered(&first));
         let (id, attrs) = engine.database.region_entry("gemm").unwrap();
@@ -1449,7 +1449,7 @@ mod tests {
         let b = binding(Dataset::Test);
         let request = DecisionRequest::new("gemm", b).with_deadline(Duration::ZERO);
         let d = engine.decide_request(&request).unwrap();
-        assert_eq!(d.device, Device::Gpu);
+        assert_eq!(d.device_id.kind(), Device::Gpu);
         assert_eq!(d.policy, Policy::AlwaysOffload);
         assert_eq!(d.cpu_error, Some(ModelError::DeadlineExceeded));
         assert_eq!(d.gpu_error, Some(ModelError::DeadlineExceeded));

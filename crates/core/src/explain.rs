@@ -13,9 +13,8 @@
 use std::time::Instant;
 
 use crate::attributes::RegionAttributes;
-use crate::calib::CalibrationMode;
 use crate::selector::{
-    choose_among, choose_device, Decision, Device, DeviceChoice, ModelSource, Policy, Selector,
+    choose_among, Composed, Decision, DeviceChoice, ModelSource, Policy, Selector,
 };
 use hetsel_ir::Binding;
 use hetsel_models::{CpuPrediction, GpuPrediction, HongCase, ModelError};
@@ -326,31 +325,14 @@ pub struct Explanation {
     pub timings: PhaseTimings,
 }
 
-fn policy_str(p: Policy) -> &'static str {
-    p.name()
-}
-
-fn device_str(d: Device) -> &'static str {
-    d.name()
-}
-
 impl Explanation {
-    /// The device the explanation says was chosen.
-    pub fn chosen_device(&self) -> Option<Device> {
-        match self.device.as_str() {
-            "host" => Some(Device::Host),
-            "gpu" => Some(Device::Gpu),
-            _ => None,
-        }
-    }
-
     /// True iff this explanation describes `decision` — same region, same
     /// device, same predictions and the same recorded errors.
     pub fn describes(&self, decision: &Decision) -> bool {
         self.region.as_str() == &*decision.region
-            && self.device == device_str(decision.device)
+            && self.device == decision.device_id.kind().name()
             && self.device_name.as_str() == &*decision.device_name
-            && self.policy == policy_str(decision.policy)
+            && self.policy == decision.policy.name()
             && (decision.policy != Policy::ModelDriven
                 || (self.predicted_cpu_s == decision.predicted_cpu_s
                     && self.predicted_gpu_s == decision.predicted_gpu_s
@@ -507,119 +489,47 @@ impl Selector {
     /// Produces the full [`Explanation`] for a region under a binding,
     /// evaluating the host model and every registered accelerator's
     /// *precompiled* model with their complete term breakdowns. The
-    /// explanation's verdict is exactly what [`Selector::decide`] decides
-    /// for the same inputs: the same NaN-safe argmin over the fleet, and
-    /// the same representative-candidate rule behind the pair-era
-    /// `predicted_gpu_s` / `gpu` headline fields.
+    /// verdict, the predictions, the errors and the calibration evidence
+    /// come from the rule [`Selector::decide`] applies, called on the same
+    /// outcomes but counted nowhere; the explanation adds the term
+    /// breakdowns of the host and the representative accelerator, one row
+    /// per candidate, the calibration sample counts and the timings.
     pub fn explain(&self, attrs: &RegionAttributes, binding: &Binding) -> Explanation {
         let t_total = Instant::now();
 
         let t_cpu = Instant::now();
-        let cpu_res: Result<CpuPrediction, ModelError> = attrs.cpu_model.evaluate(binding);
+        let cpu: Result<CpuPrediction, ModelError> = attrs.cpu_model.evaluate(binding);
         let cpu_eval_ns = t_cpu.elapsed().as_nanos() as u64;
 
-        // One evaluation per registered accelerator: slot 0 is the primary
-        // `gpu_model`, slot `i` is `extra_accel_models[i - 1]`. The same
-        // sanitization as the decision path applies to every slot: an `Ok`
-        // carrying a non-finite or negative time is a model failure, and
-        // its term breakdown is dropped along with the prediction.
-        let slots = self
-            .fleet
-            .accelerator_count()
-            .min(attrs.extra_accel_models.len() + 1);
         let t_gpu = Instant::now();
-        let accel_res: Vec<Result<GpuPrediction, ModelError>> = (0..slots)
-            .map(|i| {
-                let model = if i == 0 {
-                    &attrs.gpu_model
-                } else {
-                    &attrs.extra_accel_models[i - 1]
-                };
-                model.evaluate(binding).and_then(|p| {
-                    if ModelError::usable_time(p.seconds) {
-                        Ok(p)
-                    } else {
-                        Err(ModelError::non_finite(p.seconds))
-                    }
-                })
-            })
+        let gpus: Vec<Result<GpuPrediction, ModelError>> = std::iter::once(&attrs.gpu_model)
+            .chain(&attrs.extra_accel_models)
+            .take(self.fleet.accelerator_count())
+            .map(|model| model.evaluate(binding))
             .collect();
         let gpu_eval_ns = t_gpu.elapsed().as_nanos() as u64;
 
-        let cpu_res: Result<CpuPrediction, ModelError> = cpu_res.and_then(|p| {
-            if ModelError::usable_time(p.seconds) {
-                Ok(p)
-            } else {
-                Err(ModelError::non_finite(p.seconds))
-            }
-        });
-
-        let raw_cpu_s = cpu_res.as_ref().ok().map(|p| p.seconds);
-        let raw_accel_times: Vec<Option<f64>> = accel_res
+        let outcomes: Vec<(usize, Option<Result<f64, ModelError>>)> = gpus
             .iter()
-            .map(|r| r.as_ref().ok().map(|p| p.seconds))
+            .map(|r| r.as_ref().map(|p| p.seconds).map_err(Clone::clone))
+            .enumerate()
+            .map(|(i, r)| (i, Some(r)))
             .collect();
+        let calib = self.calib_context(attrs.calib_class(binding), attrs.region_name());
+        let Composed {
+            decision,
+            rep,
+            accels,
+        } = self.compose(
+            self.policy,
+            attrs.region_name(),
+            Some(cpu.as_ref().map(|p| p.seconds).map_err(Clone::clone)),
+            &outcomes,
+            calib.as_ref(),
+        );
 
-        // Mirror the decision path's calibration exactly: effective values
-        // (corrected in Active mode, raw otherwise) drive the verdict, the
-        // headline predictions and `devices[].predicted_s`; the raw values
-        // are preserved in the calibration block. Explain is a read-only
-        // view, so unlike `decide` it bumps no flip counters.
-        let calib = self.calib_context(attrs.calib_class(binding), attrs.kernel.name.as_str());
-        let active = calib
-            .as_ref()
-            .is_some_and(|c| c.mode == CalibrationMode::Active);
-        let (predicted_cpu_s, accel_times, calib_flipped) = match calib.as_ref() {
-            Some(ctx) => {
-                let corrected_cpu = raw_cpu_s.map(|v| v * ctx.host_factor);
-                let corrected_accels: Vec<Option<f64>> = raw_accel_times
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| p.map(|v| v * ctx.accel_factor(i)))
-                    .collect();
-                let flipped = self.policy == Policy::ModelDriven
-                    && choose_among(corrected_cpu, &corrected_accels)
-                        != choose_among(raw_cpu_s, &raw_accel_times);
-                if active {
-                    (corrected_cpu, corrected_accels, flipped)
-                } else {
-                    (raw_cpu_s, raw_accel_times.clone(), flipped)
-                }
-            }
-            None => (raw_cpu_s, raw_accel_times.clone(), false),
-        };
-
-        let choice = match self.policy {
-            Policy::AlwaysHost => DeviceChoice::Host,
-            Policy::AlwaysOffload if slots > 0 => DeviceChoice::Accelerator(0),
-            Policy::AlwaysOffload => DeviceChoice::Host,
-            Policy::ModelDriven => choose_among(predicted_cpu_s, &accel_times),
-        };
-
-        // The representative accelerator backs the pair-era `gpu` headline
-        // fields: the chosen candidate when an accelerator won, otherwise
-        // the best usable candidate, otherwise compiler-default slot 0.
-        let rep = match choice {
-            DeviceChoice::Accelerator(i) => Some(i),
-            DeviceChoice::Host => accel_times
-                .iter()
-                .enumerate()
-                .filter_map(|(i, t)| t.map(|t| (i, t)))
-                .min_by(|(_, a), (_, b)| a.total_cmp(b))
-                .map(|(i, _)| i)
-                .or(if slots > 0 { Some(0) } else { None }),
-        };
-        let rep_res: Option<&Result<GpuPrediction, ModelError>> = rep.map(|i| &accel_res[i]);
-        let predicted_gpu_s = rep.and_then(|i| accel_times[i]);
-
-        let (device, device_name) = match choice {
-            DeviceChoice::Host => (Device::Host, self.fleet.host_label().to_string()),
-            DeviceChoice::Accelerator(i) => (
-                Device::Gpu,
-                self.fleet.accelerators()[i].label().to_string(),
-            ),
-        };
-        let (speedup, margin) = match (predicted_cpu_s, predicted_gpu_s) {
+        let error = |e: &Option<ModelError>| e.as_ref().map(|e| e.to_string());
+        let (speedup, margin) = match (decision.predicted_cpu_s, decision.predicted_gpu_s) {
             (Some(c), Some(g)) if g > 0.0 && c.is_finite() && g.is_finite() => {
                 let slower = c.max(g);
                 let faster = c.min(g);
@@ -630,28 +540,49 @@ impl Selector {
             }
             _ => (None, None),
         };
-
-        let mut devices = Vec::with_capacity(1 + slots);
+        let mut devices = Vec::with_capacity(1 + accels.len());
         devices.push(DevicePrediction {
             name: self.fleet.host_label().to_string(),
             kind: "host".to_string(),
-            predicted_s: predicted_cpu_s,
-            error: cpu_res.as_ref().err().map(|e| e.to_string()),
+            predicted_s: decision.predicted_cpu_s,
+            error: error(&decision.cpu_error),
         });
-        for (i, r) in accel_res.iter().enumerate() {
+        for (idx, predicted_s, e) in &accels {
             devices.push(DevicePrediction {
-                name: self.fleet.accelerators()[i].label().to_string(),
+                name: self.fleet.accelerators()[*idx].label().to_string(),
                 kind: "accelerator".to_string(),
-                predicted_s: accel_times[i],
-                error: r.as_ref().err().map(|e| e.to_string()),
+                predicted_s: *predicted_s,
+                error: error(e),
             });
         }
+        let region = attrs.region_name();
+        let calibration = decision.calibration.map(|tag| {
+            let samples = |device: &str| {
+                self.calibrator()
+                    .lookup(region, device, tag.class)
+                    .map_or(0, |row| row.samples)
+            };
+            CalibrationBlock {
+                mode: self.calibration.name().to_string(),
+                class: tag.class.0,
+                raw_cpu_s: tag.raw_cpu_s,
+                raw_gpu_s: tag.raw_gpu_s,
+                cpu_factor: tag.cpu_factor,
+                gpu_factor: tag.gpu_factor,
+                cpu_samples: samples(self.fleet.host_label()),
+                gpu_samples: rep.map_or(0, |pos| {
+                    samples(self.fleet.accelerators()[accels[pos].0].label())
+                }),
+                applied: tag.applied,
+                flipped: tag.flipped,
+            }
+        });
 
         Explanation {
-            region: attrs.kernel.name.clone(),
-            policy: policy_str(self.policy).to_string(),
-            device: device_str(device).to_string(),
-            device_name,
+            region: region.to_string(),
+            policy: decision.policy.name().to_string(),
+            device: decision.device_id.kind().name().to_string(),
+            device_name: decision.device_name.to_string(),
             bindings: attrs
                 .required_params
                 .iter()
@@ -660,57 +591,25 @@ impl Selector {
                     value: binding.get(p),
                 })
                 .collect(),
-            predicted_cpu_s,
-            predicted_gpu_s,
+            predicted_cpu_s: decision.predicted_cpu_s,
+            predicted_gpu_s: decision.predicted_gpu_s,
             speedup,
             margin,
-            cpu_error: cpu_res.as_ref().err().map(|e| e.to_string()),
-            gpu_error: rep_res
-                .and_then(|r| r.as_ref().err())
-                .map(|e| e.to_string()),
-            cpu: cpu_res
+            cpu_error: error(&decision.cpu_error),
+            gpu_error: error(&decision.gpu_error),
+            cpu: cpu
                 .ok()
+                .filter(|_| decision.cpu_error.is_none())
                 .map(|p| CpuTerms::from_prediction(&p, self.platform.host_threads)),
-            gpu: rep_res
-                .and_then(|r| r.as_ref().ok())
+            gpu: rep
+                .filter(|_| decision.gpu_error.is_none())
+                .and_then(|pos| gpus[pos].as_ref().ok())
                 .map(GpuTerms::from_prediction),
             devices,
             cached: false,
             dispatch: None,
             accuracy: None,
-            calibration: calib.as_ref().map(|ctx| {
-                let region = attrs.kernel.name.as_str();
-                let (raw_gpu_s, gpu_factor, gpu_label) = match rep {
-                    Some(i) => (
-                        raw_accel_times[i],
-                        ctx.accel_factor(i),
-                        Some(self.fleet.accelerators()[i].label().to_string()),
-                    ),
-                    None => (None, 1.0, None),
-                };
-                let samples = |device: Option<&str>| {
-                    device
-                        .and_then(|d| self.calibrator().lookup(region, d, ctx.class))
-                        .map_or(0, |row| row.samples)
-                };
-                CalibrationBlock {
-                    mode: ctx.mode.name().to_string(),
-                    class: ctx.class.0,
-                    raw_cpu_s,
-                    raw_gpu_s,
-                    cpu_factor: ctx.host_factor,
-                    gpu_factor,
-                    cpu_samples: samples(Some(self.fleet.host_label())),
-                    gpu_samples: samples(gpu_label.as_deref()),
-                    applied: active
-                        && ((raw_cpu_s.is_some() && ctx.host_factor != 1.0)
-                            || raw_accel_times
-                                .iter()
-                                .enumerate()
-                                .any(|(i, p)| p.is_some() && ctx.accel_factor(i) != 1.0)),
-                    flipped: calib_flipped,
-                }
-            }),
+            calibration,
             timings: PhaseTimings {
                 compile_ns: None,
                 cpu_eval_ns,
@@ -749,7 +648,7 @@ pub fn validate_report_json(json: &str) -> Result<ExplainReport, String> {
         if e.region.is_empty() {
             return Err("explanation with empty region".into());
         }
-        if e.chosen_device().is_none() {
+        if !["host", "gpu"].contains(&e.device.as_str()) {
             return Err(format!("{at}: device `{}` not host|gpu", e.device));
         }
         if !["model_driven", "always_host", "always_offload"].contains(&e.policy.as_str()) {
@@ -833,17 +732,14 @@ pub fn validate_report_json(json: &str) -> Result<ExplainReport, String> {
         }
         if e.policy == "model_driven" {
             // The same NaN-safe comparison the live path uses; a document
-            // whose device disagrees with `choose_device` over the headline
+            // whose device disagrees with `choose_among` over the headline
             // (representative) predictions is corrupt. A fleet with no
             // accelerator has no offload candidate, so host is the only
             // legal verdict.
-            let expected = if has_accel {
-                match choose_device(e.predicted_cpu_s, e.predicted_gpu_s) {
-                    Device::Gpu => "gpu",
-                    Device::Host => "host",
-                }
-            } else {
-                "host"
+            let accels: &[Option<f64>] = if has_accel { &[e.predicted_gpu_s] } else { &[] };
+            let expected = match choose_among(e.predicted_cpu_s, accels) {
+                DeviceChoice::Host => "host",
+                DeviceChoice::Accelerator(_) => "gpu",
             };
             if e.device != expected {
                 return Err(format!(
@@ -999,9 +895,9 @@ mod tests {
 
     #[test]
     fn explain_device_equals_decide_device_for_every_suite_kernel() {
-        // The shared `choose_device` helper makes divergence structurally
-        // impossible; this pins it for every kernel, dataset and the
-        // unresolved-binding fallback.
+        // Explain composes through the rule decide applies, which makes
+        // divergence structurally impossible; this pins it for every
+        // kernel, dataset and the unresolved-binding fallback.
         let kernels: Vec<Kernel> = hetsel_polybench::suite()
             .into_iter()
             .flat_map(|b| b.kernels)
@@ -1013,8 +909,8 @@ mod tests {
                 for k in &bench.kernels {
                     let (decision, explanation) = engine.decide_explained(&k.name, &b).unwrap();
                     assert_eq!(
-                        Some(decision.device),
-                        explanation.chosen_device(),
+                        decision.device_id.kind().name(),
+                        explanation.device,
                         "{} {ds}",
                         k.name
                     );
@@ -1024,8 +920,8 @@ mod tests {
                 let (decision, explanation) =
                     engine.decide_explained(&k.name, &Binding::new()).unwrap();
                 assert_eq!(
-                    Some(decision.device),
-                    explanation.chosen_device(),
+                    decision.device_id.kind().name(),
+                    explanation.device,
                     "{}",
                     k.name
                 );

@@ -49,45 +49,22 @@ impl DeviceId {
     pub fn is_host(self) -> bool {
         self == DeviceId::HOST
     }
+
+    /// The kind of device this id names: [`Device::Host`] for the host,
+    /// [`Device::Gpu`] for every accelerator. The one place a kind is
+    /// derived; wire replies and explain documents spell it `host`/`gpu`.
+    pub fn kind(self) -> Device {
+        if self.is_host() {
+            Device::Host
+        } else {
+            Device::Gpu
+        }
+    }
 }
 
 impl std::fmt::Display for DeviceId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.0)
-    }
-}
-
-/// What class of device a [`DeviceId`] names.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DeviceKind {
-    /// The host CPU — present in every fleet, the terminal fallback.
-    Host,
-    /// An offload accelerator.
-    Accelerator,
-}
-
-impl DeviceKind {
-    /// Stable lowercase name (`"host"` / `"accelerator"`), the `kind`
-    /// string in explain documents.
-    pub fn name(self) -> &'static str {
-        match self {
-            DeviceKind::Host => "host",
-            DeviceKind::Accelerator => "accelerator",
-        }
-    }
-
-    /// The kind-level [`Device`] view (every accelerator is `Device::Gpu`).
-    pub fn device(self) -> Device {
-        match self {
-            DeviceKind::Host => Device::Host,
-            DeviceKind::Accelerator => Device::Gpu,
-        }
-    }
-}
-
-impl std::fmt::Display for DeviceKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -304,15 +281,6 @@ impl Fleet {
         self.accel_id(0)
     }
 
-    /// What kind of device `id` names, or `None` for an unregistered id.
-    pub fn kind(&self, id: DeviceId) -> Option<DeviceKind> {
-        if id.is_host() {
-            Some(DeviceKind::Host)
-        } else {
-            self.accel_index(id).map(|_| DeviceKind::Accelerator)
-        }
-    }
-
     /// The interned label of `id`, or `None` for an unregistered id.
     pub fn label(&self, id: DeviceId) -> Option<&str> {
         self.label_arc(id).map(|l| &**l)
@@ -385,9 +353,6 @@ mod tests {
         assert_eq!(fleet.primary_accelerator(), Some(DeviceId(1)));
         let ids: Vec<DeviceId> = fleet.device_ids().collect();
         assert_eq!(ids, vec![DeviceId(0), DeviceId(1), DeviceId(2)]);
-        assert_eq!(fleet.kind(DeviceId(0)), Some(DeviceKind::Host));
-        assert_eq!(fleet.kind(DeviceId(2)), Some(DeviceKind::Accelerator));
-        assert_eq!(fleet.kind(DeviceId(3)), None);
     }
 
     #[test]
@@ -435,11 +400,12 @@ mod tests {
     }
 
     #[test]
-    fn kind_maps_to_the_legacy_device_enum() {
-        assert_eq!(DeviceKind::Host.device(), Device::Host);
-        assert_eq!(DeviceKind::Accelerator.device(), Device::Gpu);
-        assert_eq!(DeviceKind::Host.name(), "host");
-        assert_eq!(DeviceKind::Accelerator.name(), "accelerator");
+    fn device_id_kind_is_host_for_the_host_and_gpu_otherwise() {
+        assert_eq!(DeviceId::HOST.kind(), Device::Host);
+        assert_eq!(DeviceId(1).kind(), Device::Gpu);
+        assert_eq!(DeviceId(2).kind(), Device::Gpu);
+        assert_eq!(DeviceId::HOST.kind().name(), "host");
+        assert_eq!(DeviceId(1).kind().name(), "gpu");
         assert!(DeviceId::HOST.is_host());
         assert!(!DeviceId(1).is_host());
     }

@@ -104,14 +104,15 @@ impl AdaptiveSelector {
             Some((_, accel_s)) if accel_s < cpu_s => Device::Gpu,
             _ => Device::Host,
         };
-        let flip = d.device != observed_best;
+        let chosen = d.device_id.kind();
+        let flip = chosen != observed_best;
         if let Some(p) = d.predicted_cpu_s {
             hetsel_obs::accuracy().observe(
                 &kernel.name,
                 host,
                 p,
                 cpu_s,
-                flip && d.device == Device::Host,
+                flip && chosen == Device::Host,
             );
         }
         if let (Some(p), Some((label, accel_s))) = (d.predicted_gpu_s, accel) {
@@ -120,10 +121,10 @@ impl AdaptiveSelector {
                 label,
                 p,
                 accel_s,
-                flip && d.device == Device::Gpu,
+                flip && chosen == Device::Gpu,
             );
         }
-        let cost = match (d.device, accel) {
+        let cost = match (chosen, accel) {
             (Device::Gpu, Some((_, accel_s))) => accel_s,
             _ => cpu_s,
         };
@@ -195,10 +196,18 @@ mod tests {
         let adaptive = AdaptiveSelector::new(Selector::new(Platform::power9_v100()));
 
         let first = adaptive.select(&kernel, &b);
-        assert_eq!(first.device, Device::Host, "cold start follows the model");
+        assert_eq!(
+            first.device_id.kind(),
+            Device::Host,
+            "cold start follows the model"
+        );
 
         adaptive.run_and_learn(&kernel, &b).unwrap();
         let second = adaptive.select(&kernel, &b);
-        assert_eq!(second.device, Device::Gpu, "history corrects the model");
+        assert_eq!(
+            second.device_id.kind(),
+            Device::Gpu,
+            "history corrects the model"
+        );
     }
 }

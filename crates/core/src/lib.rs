@@ -48,13 +48,13 @@ pub use explain::{
     validate_report_json, AccuracyBlock, BoundParam, CalibrationBlock, CpuTerms, DevicePrediction,
     DispatchTerms, ExplainReport, Explanation, GpuTerms, PhaseTimings,
 };
-pub use fleet::{AcceleratorDevice, DeviceId, DeviceKind, Fleet};
+pub use fleet::{AcceleratorDevice, DeviceId, Fleet};
 pub use history::AdaptiveSelector;
 pub use platform::Platform;
 pub use program::{plan_program, ProgramPlan};
 pub use selector::{
-    choose_among, choose_device, geomean, Decision, DecisionRequest, Device, DeviceChoice,
-    Evaluation, Measured, ModelSource, Policy, Selector,
+    choose_among, geomean, Decision, DecisionRequest, Device, DeviceChoice, Evaluation, Measured,
+    ModelSource, Policy, Selector,
 };
 pub use snapshot::SnapshotError;
 pub use split::{best_split, SplitDecision};

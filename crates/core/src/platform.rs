@@ -132,7 +132,7 @@ mod tests {
         let (k, binding) = hetsel_polybench::find_kernel("gemm").unwrap();
         let b = binding(hetsel_polybench::Dataset::Benchmark);
         let d = sel.decide(&k, &b);
-        assert_eq!(d.device, crate::selector::Device::Gpu);
+        assert_eq!(d.device_id.kind(), crate::selector::Device::Gpu);
         let m = sel.measure(&k, &b).unwrap();
         assert!(m.cpu_s > 0.0 && m.gpu_s > 0.0);
     }

@@ -19,7 +19,10 @@ use crate::platform::Platform;
 use hetsel_ir::{Binding, Kernel};
 use hetsel_models::{CoalescingMode, CostModel, CpuCostModel, GpuCostModel, ModelError, TripMode};
 
-/// An execution target.
+/// The kind of an execution target: the host, or an accelerator. A fleet
+/// device's kind is derived from its id by [`DeviceId::kind`]; the paper's
+/// two-device studies ([`Measured`], the program planner) are written in
+/// it, and wire replies and explain documents spell it `host` / `gpu`.
 ///
 /// Marked `#[non_exhaustive]`: the splitting/multi-accelerator roadmap will
 /// grow this enum, so downstream matches must carry a wildcard arm today
@@ -40,14 +43,6 @@ impl Device {
         match self {
             Device::Host => "host",
             Device::Gpu => "gpu",
-        }
-    }
-
-    /// The failover target when this device is unavailable.
-    pub fn other(self) -> Device {
-        match self {
-            Device::Host => Device::Gpu,
-            Device::Gpu => Device::Host,
         }
     }
 }
@@ -120,13 +115,13 @@ pub enum DeviceChoice {
 /// accelerator (index 0). An empty candidate slice (a host-only fleet) is
 /// the terminal fallback: the host, unconditionally.
 ///
-/// Centralising this is what keeps [`Selector::explain`] provably in
-/// lock-step with [`Selector::decide`] — and what makes the comparison
-/// NaN-safe: `NaN < x` is false for every `x`, so a naive `if g < c`
-/// would silently choose the host for a non-finite accelerator
-/// prediction, the opposite of the documented fallback. Ties between
-/// accelerators go to the lower index, so candidate order (fleet
-/// registration order) is part of the contract.
+/// The one spelling of the rule: [`Selector::decide`] and
+/// [`Selector::explain`] both compose their verdicts through it. It is
+/// also what makes the comparison NaN-safe: `NaN < x` is false for every
+/// `x`, so a naive `if g < c` would silently choose the host for a
+/// non-finite accelerator prediction, the opposite of the documented
+/// fallback. Ties between accelerators go to the lower index, so
+/// candidate order (fleet registration order) is part of the contract.
 pub fn choose_among(host: Option<f64>, accels: &[Option<f64>]) -> DeviceChoice {
     if accels.is_empty() {
         return DeviceChoice::Host;
@@ -143,17 +138,6 @@ pub fn choose_among(host: Option<f64>, accels: &[Option<f64>]) -> DeviceChoice {
         (Some(h), Some((_, bt))) if h <= bt => DeviceChoice::Host,
         (_, Some((i, _))) => DeviceChoice::Accelerator(i),
         (_, None) => DeviceChoice::Accelerator(0), // compiler default when unresolvable
-    }
-}
-
-/// The classic two-device spelling of [`choose_among`]: offload iff a
-/// usable GPU prediction beats a usable CPU prediction, host iff the CPU
-/// prediction is at least as fast, and the compiler default (offload)
-/// whenever either side is missing or not a comparable number.
-pub fn choose_device(cpu: Option<f64>, gpu: Option<f64>) -> Device {
-    match choose_among(cpu, &[gpu]) {
-        DeviceChoice::Host => Device::Host,
-        DeviceChoice::Accelerator(_) => Device::Gpu,
     }
 }
 
@@ -218,17 +202,28 @@ impl CalibContext {
     }
 }
 
+/// What [`Selector::compose`] resolved: the [`Decision`], plus what an
+/// explanation reports beside it.
+pub(crate) struct Composed {
+    /// The decision.
+    pub(crate) decision: Decision,
+    /// Slot of the representative accelerator (the one behind the
+    /// decision's GPU-side evidence) in the candidate slice, `None` when
+    /// there is no candidate.
+    pub(crate) rep: Option<usize>,
+    /// Each candidate in slice order: its fleet accelerator index, its
+    /// effective prediction (corrected in Active mode, raw otherwise) and
+    /// why its model produced none, when it didn't.
+    pub(crate) accels: Vec<(usize, Option<f64>, Option<ModelError>)>,
+}
+
 /// One offloading decision with the model evidence behind it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Decision {
     /// Region name. Shared (`Arc`) so cloning a decision out of the
     /// decision cache copies a pointer, not a string.
     pub region: Arc<str>,
-    /// Chosen target, kind-level: every accelerator reports `Device::Gpu`
-    /// here; [`Decision::device_id`] / [`Decision::device_name`] identify
-    /// *which* one.
-    pub device: Device,
-    /// Fleet id of the chosen device.
+    /// Fleet id of the chosen device; [`DeviceId::kind`] gives its kind.
     pub device_id: DeviceId,
     /// Interned fleet label of the chosen device (`Arc` shared with the
     /// fleet registration, so cloning a cached decision copies a pointer
@@ -321,7 +316,7 @@ pub struct Evaluation {
 impl Evaluation {
     /// Wall time actually obtained under the decision.
     pub fn achieved_s(&self) -> f64 {
-        self.measured.on(self.decision.device)
+        self.measured.on(self.decision.device_id.kind())
     }
 
     /// Wall time the oracle would have obtained.
@@ -331,7 +326,7 @@ impl Evaluation {
 
     /// True iff the decision matched the oracle.
     pub fn correct(&self) -> bool {
-        self.decision.device == self.measured.best_device()
+        self.decision.device_id.kind() == self.measured.best_device()
     }
 }
 
@@ -556,7 +551,7 @@ impl Selector {
                     .map(|(i, o)| (i, Some(o)))
                     .collect();
                 let calib = self.calib_context(source.calib_class(binding), source.region_name());
-                self.compose_indexed(
+                self.compose_counted(
                     policy,
                     source.region_name(),
                     Some(host),
@@ -570,7 +565,7 @@ impl Selector {
                 // identify the offload target.
                 let unconsulted: Vec<(usize, Option<Result<f64, ModelError>>)> =
                     if n == 0 { Vec::new() } else { vec![(0, None)] };
-                self.compose_indexed(policy, source.region_name(), None, &unconsulted, None)
+                self.compose_counted(policy, source.region_name(), None, &unconsulted, None)
             }
         }
     }
@@ -593,86 +588,112 @@ impl Selector {
     ) -> Decision {
         let indexed: Vec<(usize, Option<Result<f64, ModelError>>)> =
             accels.iter().cloned().enumerate().collect();
-        self.compose_indexed(self.policy, region, host, &indexed, None)
+        self.compose_counted(self.policy, region, host, &indexed, None)
     }
 
-    /// Composes a [`Decision`] from model outcomes tagged with their fleet
-    /// accelerator index (`None` outcome = the policy did not consult that
-    /// model; the tag lets a restricted decision carry the true fleet
-    /// identity of its one candidate). An `Ok` carrying a non-finite or
-    /// negative time is demoted to [`ModelError::NonFinitePrediction`]
-    /// before the comparison, so a NaN can never masquerade as a fast host
-    /// — the decision falls back to the compiler default of offloading and
-    /// records why, exactly like any other evaluation failure.
-    fn compose_indexed(
+    /// [`Selector::compose`], counted: one tick on the chosen device's
+    /// `hetsel.core.decisions.<label>`, one on `hetsel.core.calib.flip`
+    /// (Active) or `hetsel.core.calib.shadow_flip` (Shadow) when the
+    /// corrected verdict differs from the raw one, and under `ModelDriven`
+    /// one per failed model under `hetsel.core.fallback.<metric_key>`.
+    /// Every decision the selector takes goes through here; an explanation
+    /// composes without it and so counts nothing.
+    fn compose_counted(
         &self,
         policy: Policy,
         region: &str,
         host: Option<Result<f64, ModelError>>,
-        accels: &[(usize, Option<Result<f64, ModelError>>)],
+        outcomes: &[(usize, Option<Result<f64, ModelError>>)],
         calib: Option<&CalibContext>,
     ) -> Decision {
-        let (raw_cpu_s, cpu_error) = match host {
-            Some(outcome) => sanitize_prediction(outcome),
-            None => (None, None),
-        };
-        let sanitized: Vec<(usize, Option<f64>, Option<ModelError>)> = accels
+        let Composed {
+            decision, accels, ..
+        } = self.compose(policy, region, host, outcomes, calib);
+        match self.fleet.decisions_counter(decision.device_id) {
+            Some(decisions) => decisions.inc(),
+            // The detached label of a wide outcome slice on a host-only
+            // fleet.
+            None => hetsel_obs::registry()
+                .counter(&hetsel_obs::metrics::device_metric_name(
+                    "hetsel.core.decisions",
+                    &decision.device_name,
+                ))
+                .inc(),
+        }
+        if decision.calibration.is_some_and(|tag| tag.flipped) {
+            if calib.is_some_and(|ctx| ctx.mode == CalibrationMode::Active) {
+                hetsel_obs::static_counter!("hetsel.core.calib.flip").inc();
+            } else {
+                hetsel_obs::static_counter!("hetsel.core.calib.shadow_flip").inc();
+            }
+        }
+        if policy == Policy::ModelDriven {
+            for err in std::iter::once(&decision.cpu_error)
+                .chain(accels.iter().map(|(_, _, e)| e))
+                .flatten()
+            {
+                count_fallback(err);
+            }
+        }
+        decision
+    }
+
+    /// The decision rule, uncounted: composes a [`Decision`] from model
+    /// outcomes tagged with their fleet accelerator index (`None` outcome
+    /// = the policy did not consult that model; the tag lets a restricted
+    /// decision carry the true fleet identity of its one candidate). An
+    /// `Ok` carrying a non-finite or negative time is demoted to
+    /// [`ModelError::NonFinitePrediction`] before the comparison, so a NaN
+    /// can never masquerade as a fast host — the decision falls back to
+    /// the compiler default of offloading and records why, exactly like
+    /// any other evaluation failure.
+    pub(crate) fn compose(
+        &self,
+        policy: Policy,
+        region: &str,
+        host: Option<Result<f64, ModelError>>,
+        outcomes: &[(usize, Option<Result<f64, ModelError>>)],
+        calib: Option<&CalibContext>,
+    ) -> Composed {
+        let (raw_cpu_s, cpu_error) = host.map_or((None, None), sanitize_prediction);
+        let mut accels: Vec<(usize, Option<f64>, Option<ModelError>)> = outcomes
             .iter()
-            .map(|(idx, outcome)| match outcome {
-                Some(o) => {
-                    let (p, e) = sanitize_prediction(o.clone());
-                    (*idx, p, e)
-                }
-                None => (*idx, None, None),
+            .map(|(idx, outcome)| {
+                let (p, e) = outcome.clone().map_or((None, None), sanitize_prediction);
+                (*idx, p, e)
             })
             .collect();
-        let raw_accels: Vec<Option<f64>> = sanitized.iter().map(|(_, p, _)| *p).collect();
-        // Online calibration: resolve the corrected candidate values and
-        // detect verdict flips. A cold cell's factor is exactly 1.0 and
+        let raw_accels: Vec<Option<f64>> = accels.iter().map(|(_, p, _)| *p).collect();
+        // Online calibration: the corrected candidate values, and whether
+        // they flip the verdict. A cold cell's factor is exactly 1.0 and
         // `x * 1.0` is bit-identical to `x`, so a zero-sample Shadow or
         // Active decision reproduces the raw comparison bit for bit. The
         // effective values — what the verdict, the representative slot and
         // the recorded predictions all use — are the corrected ones only
         // in Active mode.
-        let mut flipped = false;
         let active = calib.is_some_and(|ctx| ctx.mode == CalibrationMode::Active);
-        let (eff_cpu_s, eff_accels) = match calib {
-            Some(ctx) => {
-                let corrected_cpu = raw_cpu_s.map(|v| v * ctx.host_factor);
-                let corrected_accels: Vec<Option<f64>> = sanitized
-                    .iter()
-                    .map(|(idx, p, _)| p.map(|v| v * ctx.accel_factor(*idx)))
-                    .collect();
-                if policy == Policy::ModelDriven {
-                    let raw_choice = choose_among(raw_cpu_s, &raw_accels);
-                    let corrected_choice = choose_among(corrected_cpu, &corrected_accels);
-                    flipped = corrected_choice != raw_choice;
-                    if flipped {
-                        if active {
-                            hetsel_obs::static_counter!("hetsel.core.calib.flip").inc();
-                        } else {
-                            hetsel_obs::static_counter!("hetsel.core.calib.shadow_flip").inc();
-                        }
-                    }
-                }
-                if active {
-                    (corrected_cpu, corrected_accels)
-                } else {
-                    (raw_cpu_s, raw_accels.clone())
-                }
-            }
-            None => (raw_cpu_s, raw_accels.clone()),
+        let corrected = calib.map(|ctx| {
+            let cpu = raw_cpu_s.map(|v| v * ctx.host_factor);
+            let accels: Vec<Option<f64>> = accels
+                .iter()
+                .map(|(idx, p, _)| p.map(|v| v * ctx.accel_factor(*idx)))
+                .collect();
+            (cpu, accels)
+        });
+        let flipped = policy == Policy::ModelDriven
+            && corrected.as_ref().is_some_and(|(cpu, accels)| {
+                choose_among(*cpu, accels) != choose_among(raw_cpu_s, &raw_accels)
+            });
+        let (eff_cpu_s, eff_accels) = match &corrected {
+            Some((cpu, accels)) if active => (*cpu, accels.as_slice()),
+            _ => (raw_cpu_s, raw_accels.as_slice()),
         };
         let choice = match policy {
             Policy::AlwaysHost => DeviceChoice::Host,
-            Policy::AlwaysOffload => {
-                if sanitized.is_empty() {
-                    DeviceChoice::Host // host-only fleet: nowhere to offload
-                } else {
-                    DeviceChoice::Accelerator(0)
-                }
-            }
-            Policy::ModelDriven => choose_among(eff_cpu_s, &eff_accels),
+            // A host-only fleet has nowhere to offload to.
+            Policy::AlwaysOffload if accels.is_empty() => DeviceChoice::Host,
+            Policy::AlwaysOffload => DeviceChoice::Accelerator(0),
+            Policy::ModelDriven => choose_among(eff_cpu_s, eff_accels),
         };
         // The representative accelerator behind the decision's GPU-side
         // evidence: the chosen one when an accelerator was chosen,
@@ -680,26 +701,23 @@ impl Selector {
         // primary candidate (whose recorded failure explains the
         // fallback). For a pair fleet this is always slot 0, which is what
         // keeps restricted decisions bit-identical to the classic pair.
-        let rep_pos = match choice {
+        let rep = match choice {
             DeviceChoice::Accelerator(pos) => Some(pos),
-            DeviceChoice::Host => {
-                let best_usable = eff_accels
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(pos, p)| p.map(|t| (pos, t)))
-                    .min_by(|(_, a), (_, b)| a.total_cmp(b))
-                    .map(|(pos, _)| pos);
-                best_usable.or(if sanitized.is_empty() { None } else { Some(0) })
-            }
+            DeviceChoice::Host => eff_accels
+                .iter()
+                .enumerate()
+                .filter_map(|(pos, p)| p.map(|t| (pos, t)))
+                .min_by(|(_, a), (_, b)| a.total_cmp(b))
+                .map(|(pos, _)| pos)
+                .or((!accels.is_empty()).then_some(0)),
         };
-        let predicted_cpu_s = eff_cpu_s;
-        let (predicted_gpu_s, gpu_error) = match rep_pos {
-            Some(pos) => (eff_accels[pos], sanitized[pos].2.clone()),
+        let (predicted_gpu_s, gpu_error) = match rep {
+            Some(pos) => (eff_accels[pos], accels[pos].2.clone()),
             None => (None, None),
         };
         let calibration = calib.map(|ctx| {
-            let (raw_gpu_s, gpu_factor) = match rep_pos {
-                Some(pos) => (sanitized[pos].1, ctx.accel_factor(sanitized[pos].0)),
+            let (raw_gpu_s, gpu_factor) = match rep {
+                Some(pos) => (raw_accels[pos], ctx.accel_factor(accels[pos].0)),
                 None => (None, 1.0),
             };
             CalibrationTag {
@@ -710,57 +728,35 @@ impl Selector {
                 gpu_factor,
                 applied: active
                     && ((raw_cpu_s.is_some() && ctx.host_factor != 1.0)
-                        || sanitized
+                        || accels
                             .iter()
                             .any(|(idx, p, _)| p.is_some() && ctx.accel_factor(*idx) != 1.0)),
                 flipped,
             }
         });
-        let (device, device_id, device_name) = match choice {
-            DeviceChoice::Host => (
-                Device::Host,
-                DeviceId::HOST,
-                self.fleet.host_label_arc().clone(),
-            ),
-            DeviceChoice::Accelerator(pos) => {
-                let fleet_idx = sanitized[pos].0;
-                let (id, label) = self.accel_identity(fleet_idx);
-                (Device::Gpu, id, label)
-            }
+        let (device_id, device_name) = match choice {
+            DeviceChoice::Host => (DeviceId::HOST, self.fleet.host_label_arc().clone()),
+            DeviceChoice::Accelerator(pos) => self.accel_identity(accels[pos].0),
         };
-        match self.fleet.decisions_counter(device_id) {
-            Some(decisions) => decisions.inc(),
-            // The detached label of a wide outcome slice on a host-only
-            // fleet.
-            None => hetsel_obs::registry()
-                .counter(&hetsel_obs::metrics::device_metric_name(
-                    "hetsel.core.decisions",
-                    &device_name,
-                ))
-                .inc(),
-        }
-        if policy == Policy::ModelDriven {
-            // Count fallback reasons by variant: one tick per failed model
-            // (host and every consulted accelerator), under
-            // `hetsel.core.fallback.<metric_key>`.
-            for err in std::iter::once(&cpu_error)
-                .chain(sanitized.iter().map(|(_, _, e)| e))
-                .flatten()
-            {
-                count_fallback(err);
+        if let Some((_, corrected)) = corrected.filter(|_| active) {
+            for (accel, p) in accels.iter_mut().zip(corrected) {
+                accel.1 = p;
             }
         }
-        Decision {
-            region: Arc::from(region),
-            device,
-            device_id,
-            device_name,
-            policy,
-            predicted_cpu_s,
-            predicted_gpu_s,
-            cpu_error,
-            gpu_error,
-            calibration,
+        Composed {
+            decision: Decision {
+                region: Arc::from(region),
+                device_id,
+                device_name,
+                policy,
+                predicted_cpu_s: eff_cpu_s,
+                predicted_gpu_s,
+                cpu_error,
+                gpu_error,
+                calibration,
+            },
+            rep,
+            accels,
         }
     }
 
@@ -843,7 +839,7 @@ impl Selector {
         let calib = consult
             .then(|| self.calib_context(attrs.calib_class(binding), attrs.region_name()))
             .flatten();
-        self.compose_indexed(
+        self.compose_counted(
             self.policy,
             attrs.region_name(),
             host,
@@ -1229,9 +1225,9 @@ pub(crate) mod tests {
         let (k, binding) = find_kernel("gemm").unwrap();
         let b = binding(Dataset::Test);
         let s = selector().with_policy(Policy::AlwaysHost);
-        assert_eq!(s.decide(&k, &b).device, Device::Host);
+        assert_eq!(s.decide(&k, &b).device_id.kind(), Device::Host);
         let s = selector().with_policy(Policy::AlwaysOffload);
-        assert_eq!(s.decide(&k, &b).device, Device::Gpu);
+        assert_eq!(s.decide(&k, &b).device_id.kind(), Device::Gpu);
     }
 
     #[test]
@@ -1247,7 +1243,7 @@ pub(crate) mod tests {
     fn unresolved_binding_falls_back_to_offload() {
         let (k, _) = find_kernel("gemm").unwrap();
         let d = selector().decide(&k, &Binding::new());
-        assert_eq!(d.device, Device::Gpu);
+        assert_eq!(d.device_id.kind(), Device::Gpu);
         assert!(d.predicted_speedup().is_none());
     }
 
@@ -1315,7 +1311,7 @@ pub(crate) mod tests {
     fn errors_recorded_on_fallback() {
         let (k, _) = find_kernel("gemm").unwrap();
         let d = selector().decide(&k, &Binding::new());
-        assert_eq!(d.device, Device::Gpu);
+        assert_eq!(d.device_id.kind(), Device::Gpu);
         assert!(matches!(
             d.cpu_error,
             Some(ModelError::UnboundSymbol { .. })
@@ -1332,21 +1328,34 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn choose_device_is_nan_safe() {
+    fn choose_among_is_nan_safe_with_one_accelerator() {
+        use DeviceChoice::{Accelerator, Host};
         // Comparable predictions: strict win offloads, ties stay home.
-        assert_eq!(choose_device(Some(2.0), Some(1.0)), Device::Gpu);
-        assert_eq!(choose_device(Some(1.0), Some(2.0)), Device::Host);
-        assert_eq!(choose_device(Some(1.0), Some(1.0)), Device::Host);
+        assert_eq!(choose_among(Some(2.0), &[Some(1.0)]), Accelerator(0));
+        assert_eq!(choose_among(Some(1.0), &[Some(2.0)]), Host);
+        assert_eq!(choose_among(Some(1.0), &[Some(1.0)]), Host);
         // Any unusable side falls back to the compiler default (offload) —
         // including the NaN that `if g < c` used to send to the host.
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
-            assert_eq!(choose_device(Some(bad), Some(1.0)), Device::Gpu, "{bad}");
-            assert_eq!(choose_device(Some(1.0), Some(bad)), Device::Gpu, "{bad}");
-            assert_eq!(choose_device(Some(bad), Some(bad)), Device::Gpu, "{bad}");
+            assert_eq!(
+                choose_among(Some(bad), &[Some(1.0)]),
+                Accelerator(0),
+                "{bad}"
+            );
+            assert_eq!(
+                choose_among(Some(1.0), &[Some(bad)]),
+                Accelerator(0),
+                "{bad}"
+            );
+            assert_eq!(
+                choose_among(Some(bad), &[Some(bad)]),
+                Accelerator(0),
+                "{bad}"
+            );
         }
-        assert_eq!(choose_device(None, Some(1.0)), Device::Gpu);
-        assert_eq!(choose_device(Some(1.0), None), Device::Gpu);
-        assert_eq!(choose_device(None, None), Device::Gpu);
+        assert_eq!(choose_among(None, &[Some(1.0)]), Accelerator(0));
+        assert_eq!(choose_among(Some(1.0), &[None]), Accelerator(0));
+        assert_eq!(choose_among(None, &[None]), Accelerator(0));
     }
 
     #[test]
@@ -1355,7 +1364,7 @@ pub(crate) mod tests {
         // A NaN GPU prediction must not silently select the host: it is a
         // model failure, recorded, with the compiler-default fallback.
         let d = s.decide_from_outcomes("r", Some(Ok(1.0)), &[Some(Ok(f64::NAN))]);
-        assert_eq!(d.device, Device::Gpu);
+        assert_eq!(d.device_id.kind(), Device::Gpu);
         assert_eq!(d.predicted_gpu_s, None);
         assert!(matches!(
             d.gpu_error,
@@ -1365,7 +1374,7 @@ pub(crate) mod tests {
         // Same for an infinite or negative CPU prediction.
         for bad in [f64::INFINITY, -2.5] {
             let d = s.decide_from_outcomes("r", Some(Ok(bad)), &[Some(Ok(1.0))]);
-            assert_eq!(d.device, Device::Gpu, "{bad}");
+            assert_eq!(d.device_id.kind(), Device::Gpu, "{bad}");
             assert!(
                 matches!(d.cpu_error, Some(ModelError::NonFinitePrediction { .. })),
                 "{bad}"
@@ -1374,7 +1383,7 @@ pub(crate) mod tests {
         }
         // Both sides poisoned: still the fallback, both reasons recorded.
         let d = s.decide_from_outcomes("r", Some(Ok(f64::NAN)), &[Some(Ok(f64::NEG_INFINITY))]);
-        assert_eq!(d.device, Device::Gpu);
+        assert_eq!(d.device_id.kind(), Device::Gpu);
         assert!(d.cpu_error.is_some() && d.gpu_error.is_some());
     }
 
@@ -1420,7 +1429,7 @@ pub(crate) mod tests {
         let b = binding(Dataset::Benchmark);
         let s = selector();
         let d = s.decide(&k, &b);
-        assert_eq!(d.device_name.as_ref(), d.device.name());
+        assert_eq!(d.device_name.as_ref(), d.device_id.kind().name());
         assert_eq!(d.device_id, s.fleet().device_id_of(&d.device_name).unwrap());
         // The label is the fleet's interned allocation, not a copy.
         assert!(Arc::ptr_eq(
@@ -1437,20 +1446,19 @@ pub(crate) mod tests {
         let s = s.with_fleet(fleet);
         // `b` strictly fastest → chosen, with its id and label.
         let d = s.decide_from_outcomes("r", Some(Ok(3.0)), &[Some(Ok(2.0)), Some(Ok(1.0))]);
-        assert_eq!(d.device, Device::Gpu);
         assert_eq!(d.device_id, DeviceId(2));
         assert_eq!(&*d.device_name, "b");
         assert_eq!(d.predicted_gpu_s, Some(1.0));
         // Host tie against the best accelerator → host; the representative
         // GPU evidence is the best accelerator it beat.
         let d = s.decide_from_outcomes("r", Some(Ok(1.0)), &[Some(Ok(2.0)), Some(Ok(1.0))]);
-        assert_eq!((d.device, d.device_id), (Device::Host, DeviceId::HOST));
+        assert_eq!(d.device_id, DeviceId::HOST);
         assert_eq!(&*d.device_name, "host");
         assert_eq!(d.predicted_gpu_s, Some(1.0));
         // Nothing usable → compiler default: the primary accelerator, with
         // its failure recorded.
         let d = s.decide_from_outcomes("r", Some(Ok(f64::NAN)), &[Some(Ok(f64::NAN)), None]);
-        assert_eq!((d.device, d.device_id), (Device::Gpu, DeviceId(1)));
+        assert_eq!(d.device_id, DeviceId(1));
         assert_eq!(&*d.device_name, "a");
         assert!(d.gpu_error.is_some());
     }
@@ -1459,13 +1467,13 @@ pub(crate) mod tests {
     fn host_only_fleet_never_offloads() {
         let s = selector().with_fleet(Fleet::host_only());
         let d = s.decide_from_outcomes("r", Some(Ok(f64::NAN)), &[]);
-        assert_eq!((d.device, d.device_id), (Device::Host, DeviceId::HOST));
+        assert_eq!(d.device_id, DeviceId::HOST);
         assert!(d.predicted_gpu_s.is_none() && d.gpu_error.is_none());
         // Even under AlwaysOffload there is nowhere to offload to.
         let s = s.with_policy(Policy::AlwaysOffload);
         let (k, binding) = find_kernel("gemm").unwrap();
         let d = s.decide(&k, &binding(Dataset::Test));
-        assert_eq!(d.device, Device::Host);
+        assert_eq!(d.device_id.kind(), Device::Host);
     }
 
     #[test]
@@ -1500,7 +1508,5 @@ pub(crate) mod tests {
         assert_eq!(Policy::parse("nonsense"), None);
         assert_eq!(Device::Host.name(), "host");
         assert_eq!(Device::Gpu.name(), "gpu");
-        assert_eq!(Device::Host.other(), Device::Gpu);
-        assert_eq!(Device::Gpu.other(), Device::Host);
     }
 }

@@ -38,7 +38,7 @@ impl<'a> From<&'a Decision> for DecisionFields<'a> {
     fn from(d: &'a Decision) -> DecisionFields<'a> {
         DecisionFields {
             region: &d.region,
-            device: d.device.name(),
+            device: d.device_id.kind().name(),
             device_name: &d.device_name,
             policy: d.policy.name(),
             predicted_cpu_s: d.predicted_cpu_s,

@@ -36,7 +36,7 @@ fn eager_config() -> CalibratorConfig {
 /// its would-be corrections.
 fn same_verdict(a: &Decision, b: &Decision) -> bool {
     let bits = |v: Option<f64>| v.map(f64::to_bits);
-    a.device == b.device
+    a.device_id.kind() == b.device_id.kind()
         && a.device_id == b.device_id
         && a.device_name == b.device_name
         && bits(a.predicted_cpu_s) == bits(b.predicted_cpu_s)
@@ -98,7 +98,7 @@ fn warm_shadow_flags_but_never_flips_the_verdict() {
         .with_calibration(CalibrationMode::Shadow)
         .with_calibrator(Arc::clone(&cal));
     let tag0 = shadow.decide(&kernel, &b).calibration.unwrap();
-    let raw = if base.device == Device::Gpu {
+    let raw = if base.device_id.kind() == Device::Gpu {
         tag0.raw_gpu_s.unwrap()
     } else {
         tag0.raw_cpu_s.unwrap()
@@ -145,7 +145,7 @@ fn constant_bias_oracle_converges_and_flips_through_the_engine() {
     let d0 = engine.decide("gemm", &b).unwrap();
     let tag0 = d0.calibration.unwrap();
     assert!(!tag0.applied, "cold engine applies nothing");
-    let raw = if d0.device == Device::Gpu {
+    let raw = if d0.device_id.kind() == Device::Gpu {
         tag0.raw_gpu_s.unwrap()
     } else {
         tag0.raw_cpu_s.unwrap()
@@ -169,10 +169,14 @@ fn constant_bias_oracle_converges_and_flips_through_the_engine() {
     let d1 = engine.decide("gemm", &b).unwrap();
     hetsel_obs::set_flight_recording(false);
 
-    assert_ne!(d0.device, d1.device, "the correction flips the verdict");
+    assert_ne!(
+        d0.device_id.kind(),
+        d1.device_id.kind(),
+        "the correction flips the verdict"
+    );
     let tag1 = d1.calibration.unwrap();
     assert!(tag1.applied && tag1.flipped);
-    let factor = if d0.device == Device::Gpu {
+    let factor = if d0.device_id.kind() == Device::Gpu {
         tag1.gpu_factor
     } else {
         tag1.cpu_factor

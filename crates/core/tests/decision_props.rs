@@ -11,7 +11,7 @@
 //! terminal fallback is the host unconditionally.
 
 use hetsel_core::{
-    choose_among, choose_device, Device, DeviceChoice, Fleet, Platform, Policy, Selector,
+    choose_among, Device, DeviceChoice, DeviceId, Fleet, Platform, Policy, Selector,
 };
 use hetsel_models::ModelError;
 use proptest::prelude::*;
@@ -81,7 +81,7 @@ proptest! {
         prop_assert_eq!(s.policy, Policy::ModelDriven);
         let accels = [a.clone(), b.clone(), c.clone()];
         let d = s.decide_from_outcomes("prop-region", cpu.clone(), &accels);
-        if d.device == Device::Host {
+        if d.device_id.kind() == Device::Host {
             let h = usable(&cpu);
             let best = accels.iter().filter_map(usable).fold(f64::INFINITY, f64::min);
             prop_assert!(
@@ -103,12 +103,12 @@ proptest! {
         let times: Vec<Option<f64>> = accels.iter().map(usable).collect();
         match choose_among(usable(&cpu), &times) {
             DeviceChoice::Host => {
-                prop_assert_eq!(d.device, Device::Host);
+                prop_assert_eq!(d.device_id.kind(), Device::Host);
                 prop_assert_eq!(&*d.device_name, "host");
                 prop_assert!(d.device_id.is_host());
             }
             DeviceChoice::Accelerator(i) => {
-                prop_assert_eq!(d.device, Device::Gpu);
+                prop_assert_eq!(d.device_id.kind(), Device::Gpu);
                 prop_assert_eq!(&*d.device_name, LABELS[i]);
                 prop_assert_eq!(d.predicted_gpu_s, times[i]);
             }
@@ -125,7 +125,11 @@ proptest! {
         let d = s.decide_from_outcomes("prop-region", cpu.clone(), std::slice::from_ref(&gpu));
         prop_assert_eq!(d.predicted_cpu_s, usable(&cpu));
         prop_assert_eq!(d.predicted_gpu_s, usable(&gpu));
-        prop_assert_eq!(d.device, choose_device(d.predicted_cpu_s, d.predicted_gpu_s));
+        let expected = match choose_among(d.predicted_cpu_s, &[d.predicted_gpu_s]) {
+            DeviceChoice::Host => DeviceId::HOST,
+            DeviceChoice::Accelerator(_) => DeviceId(1),
+        };
+        prop_assert_eq!(d.device_id, expected);
         prop_assert_eq!(d.gpu_error.is_some(), gpu.is_some() && usable(&gpu).is_none());
     }
 
@@ -137,7 +141,7 @@ proptest! {
         let mut accels: [Outcome; 3] = [Some(Ok(f64::NAN)), None, Some(Err(ModelError::ZeroTrip))];
         accels[k] = Some(Ok(t as f64 * 1e-6));
         let d = s.decide_from_outcomes("prop-region", Some(Ok(f64::NAN)), &accels);
-        prop_assert_eq!(d.device, Device::Gpu);
+        prop_assert_eq!(d.device_id.kind(), Device::Gpu);
         prop_assert_eq!(&*d.device_name, LABELS[k]);
     }
 
@@ -154,7 +158,7 @@ proptest! {
             Some(Ok(tied)),
             &[a, slower, Some(Ok(tied))],
         );
-        prop_assert_eq!(d.device, Device::Host);
+        prop_assert_eq!(d.device_id.kind(), Device::Host);
         prop_assert_eq!(&*d.device_name, "host");
     }
 
@@ -166,11 +170,11 @@ proptest! {
         // is the host.
         let accels = [a, b, c];
         let d = fleet_selector().decide_from_outcomes("prop-region", cpu.clone(), &accels);
-        prop_assert_eq!(d.device, Device::Gpu);
+        prop_assert_eq!(d.device_id.kind(), Device::Gpu);
         prop_assert_eq!(&*d.device_name, "a");
         let host_only = Selector::new(Platform::power9_v100()).with_fleet(Fleet::host_only());
         let d = host_only.decide_from_outcomes("prop-region", cpu, &[]);
-        prop_assert_eq!(d.device, Device::Host);
+        prop_assert_eq!(d.device_id.kind(), Device::Host);
         prop_assert!(d.device_id.is_host());
     }
 
@@ -179,11 +183,11 @@ proptest! {
         let accels = [a, b, c];
         let host = fleet_selector().with_policy(Policy::AlwaysHost);
         let d = host.decide_from_outcomes("prop-region", cpu.clone(), &accels);
-        prop_assert_eq!(d.device, Device::Host);
+        prop_assert_eq!(d.device_id.kind(), Device::Host);
         prop_assert_eq!(&*d.device_name, "host");
         let off = fleet_selector().with_policy(Policy::AlwaysOffload);
         let d = off.decide_from_outcomes("prop-region", cpu, &accels);
-        prop_assert_eq!(d.device, Device::Gpu);
+        prop_assert_eq!(d.device_id.kind(), Device::Gpu);
         prop_assert_eq!(&*d.device_name, "a", "compiler default offloads to the primary");
     }
 }

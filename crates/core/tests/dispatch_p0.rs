@@ -7,8 +7,8 @@
 //! make the assertion racy. One test per process makes it exact.
 
 use hetsel_core::{
-    BreakerState, DecisionEngine, DecisionRequest, Device, Dispatcher, DispatcherConfig, Platform,
-    Selector,
+    BreakerState, DecisionEngine, DecisionRequest, DeviceId, Dispatcher, DispatcherConfig,
+    Platform, Selector,
 };
 use hetsel_ir::Kernel;
 use hetsel_polybench::{suite, Dataset};
@@ -51,7 +51,7 @@ fn p0_dispatch_is_decide_plus_one_run_with_zero_added_counters() {
                         "{} {ds}: p=0 dispatch decision diverged from decide",
                         k.name
                     );
-                    assert_eq!(outcome.device, expected.device);
+                    assert_eq!(outcome.device_id, expected.device_id);
                     assert!(outcome.clean(), "{} {ds}: {outcome:?}", k.name);
                 }
             }
@@ -65,8 +65,14 @@ fn p0_dispatch_is_decide_plus_one_run_with_zero_added_counters() {
             "`{name}` moved under a no-fault dispatcher"
         );
     }
-    assert_eq!(dispatcher.breaker_state(Device::Gpu), BreakerState::Closed);
-    assert_eq!(dispatcher.breaker_state(Device::Host), BreakerState::Closed);
+    assert_eq!(
+        dispatcher.breaker_state_by_id(DeviceId(1)),
+        Some(BreakerState::Closed)
+    );
+    assert_eq!(
+        dispatcher.breaker_state_by_id(DeviceId::HOST),
+        Some(BreakerState::Closed)
+    );
     // The engines took identical decision paths: same hit/miss accounting.
     assert_eq!(dispatcher.engine().stats().misses, reference.stats().misses);
 }

@@ -19,7 +19,7 @@ fn calibration_survives_serialisation_and_still_decides() {
     let b = binding(Dataset::Benchmark);
     adaptive.run_and_learn(&kernel, &b).unwrap();
     assert_eq!(
-        adaptive.select(&kernel, &b).device,
+        adaptive.select(&kernel, &b).device_id.kind(),
         Device::Gpu,
         "learned corrections flip the conv decision in-process"
     );
@@ -39,7 +39,7 @@ fn calibration_survives_serialisation_and_still_decides() {
     };
     let d = adaptive2.select(&kernel, &b);
     assert_eq!(
-        d.device,
+        d.device_id.kind(),
         Device::Gpu,
         "restored corrections flip the conv decision"
     );
@@ -56,7 +56,7 @@ fn history_is_binding_sensitive() {
     // A different binding is a different configuration: back to the model.
     let d_model = adaptive.select(&kernel, &binding(Dataset::Test));
     let s_model = Selector::new(Platform::power9_v100()).decide(&kernel, &binding(Dataset::Test));
-    assert_eq!(d_model.device, s_model.device);
+    assert_eq!(d_model.device_id, s_model.device_id);
 }
 
 #[test]
@@ -72,7 +72,7 @@ fn split_and_plan_are_consistent_with_the_binary_selector() {
         let split_prefers_gpu = s.gpu_only_s < s.host_only_s;
         assert_eq!(
             split_prefers_gpu,
-            d.device == Device::Gpu,
+            d.device_id.kind() == Device::Gpu,
             "{name}: split endpoints vs selector"
         );
     }

@@ -112,7 +112,7 @@ fn a_scoped_decision_on_the_full_fleet_matches_the_pair() {
             let pair = eng_pair.decide(&region, &b).expect("known region");
             // The scoped decision names the device by its true fleet id;
             // the restriction renumbers it to the pair's slot 1.
-            if scoped.device == Device::Host {
+            if scoped.device_id.kind() == Device::Host {
                 assert!(scoped.device_id.is_host());
             } else {
                 assert_eq!(scoped.device_id, id, "{region} chose a foreign device");
@@ -141,7 +141,7 @@ fn the_primary_slot_matches_the_classic_pair_selector() {
         let mut relabeled = scoped.clone();
         relabeled.device_name = classic.device_name.clone();
         assert_eq!(relabeled, classic, "primary slot diverged for {region}");
-        if scoped.device == Device::Gpu {
+        if scoped.device_id.kind() == Device::Gpu {
             assert_eq!(&*scoped.device_name, "v100");
         }
     }

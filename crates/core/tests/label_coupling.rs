@@ -30,7 +30,11 @@ fn one_interned_label_names_the_device_everywhere() {
     // The decision's name IS the registered label, pointer-for-pointer,
     // and the decision counter is named after the same spelling.
     let d = engine.decide("gemm", &b).expect("gemm is known");
-    assert_eq!(d.device, Device::Gpu, "gemm offloads under Benchmark");
+    assert_eq!(
+        d.device_id.kind(),
+        Device::Gpu,
+        "gemm offloads under Benchmark"
+    );
     assert!(
         Arc::ptr_eq(&d.device_name, &label),
         "label was re-allocated"

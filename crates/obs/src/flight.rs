@@ -14,17 +14,22 @@
 //!   atomic load and the event-building closure never runs — the decide
 //!   hot path stays allocation-free and effectively untouched (pinned by
 //!   `zero_alloc.rs` in `hetsel-core`).
-//! * **Enabled**, recording is *lock-free and allocation-free*: a slot is
-//!   claimed with one `fetch_add` on the write cursor and the event is
-//!   serialized into that slot's fixed array of atomic words under a
-//!   per-slot sequence lock. No mutex, no heap, no syscall — writers can
-//!   never block each other or a reader.
+//! * **Enabled**, recording is *lock-free and allocation-free*: a writer
+//!   takes a ticket with one `fetch_add` on the write cursor, claims the
+//!   ticket's slot by swapping the slot's sequence word to a busy marker,
+//!   serializes the event into the slot's fixed array of atomic words and
+//!   publishes it by storing its sequence number. No mutex, no heap, no
+//!   syscall — writers can never block each other or a reader.
 //!
-//! Readers validate each slot's sequence word before and after copying
-//! the payload, so a concurrent overwrite is detected and the slot is
-//! skipped rather than surfaced torn. (If the ring wraps more than once
-//! during a single read the oldest events are simply gone — it is a
-//! flight recorder, not a reliable log.)
+//! Tickets `t` and `t + capacity` share a slot, so a ring that laps a
+//! writer preempted mid-write sends a second writer to a slot still being
+//! filled. The claim keeps it out: a writer that finds its slot busy drops
+//! its event and never waits. Readers validate each slot's sequence word
+//! before and after copying the payload, so a concurrent overwrite is
+//! detected and the slot is skipped rather than surfaced torn, and busy
+//! slots are skipped outright. (Dropped events, and events overwritten
+//! while the ring wraps during a read, are simply gone — it is a flight
+//! recorder, not a reliable log.)
 
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -254,9 +259,13 @@ fn pack_region(region: &str) -> [u8; REGION_BYTES] {
     out
 }
 
+/// A slot's sequence word while a writer holds it.
+const BUSY: u64 = u64::MAX;
+
 /// One ring slot: a per-slot sequence lock over a fixed word array.
-/// `seq == 0` means empty/in-flight; `seq == ticket + 1` means the slot
-/// holds the event with global sequence number `ticket`.
+/// `seq == 0` means empty, `seq == BUSY` that a writer is filling it, and
+/// `seq == ticket + 1` that it holds the event with global sequence
+/// number `ticket`.
 struct Slot {
     seq: AtomicU64,
     words: [AtomicU64; WORDS],
@@ -310,21 +319,36 @@ impl FlightRecorder {
         self.cursor.load(Ordering::Relaxed)
     }
 
-    /// Records one event: claims a ticket, invalidates the target slot,
-    /// stores the payload words and re-validates. Lock-free and
-    /// allocation-free.
+    /// Records one event: takes a ticket, claims its slot and publishes
+    /// the event there — or drops the event when a writer the ring lapped
+    /// still holds the slot. Lock-free, wait-free and allocation-free.
     #[inline]
     pub fn record(&self, ev: &DecisionEvent) {
+        if let Some((ticket, slot)) = self.claim() {
+            Self::publish(slot, ticket, ev);
+        }
+    }
+
+    /// Takes the next ticket and claims its slot by swapping the slot's
+    /// sequence word to [`BUSY`]; `None` when it was busy already (another
+    /// writer holds it, and keeps it). The swap acquires the previous
+    /// publication, so this writer's payload stores follow the last
+    /// writer's, and being one atomic read-modify-write it lets exactly
+    /// one writer in.
+    #[inline]
+    fn claim(&self) -> Option<(u64, &Slot)> {
         let ticket = self.cursor.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(ticket as usize) & self.mask];
-        // Invalidate, then publish each payload word with Release: a reader
-        // whose (relaxed-load + acquire-fence) copy observed any new word
-        // therefore also observes the invalidation — or the final
-        // re-validation value — on its sequence re-check, so a torn copy
-        // can never validate. This keeps the writer free of locked RMW
-        // cycles beyond the one ticket `fetch_add` (the hot decide path
-        // pays for exactly one).
-        slot.seq.store(0, Ordering::Relaxed);
+        (slot.seq.swap(BUSY, Ordering::Acquire) != BUSY).then_some((ticket, slot))
+    }
+
+    /// Fills a slot [`claim`](FlightRecorder::claim)ed for `ticket` and
+    /// publishes it. Each payload word is stored with Release after the
+    /// claim, so a reader whose (relaxed-load + acquire-fence) copy
+    /// observed any new word also observes the busy marker — or the final
+    /// sequence number — on its re-check, and a torn copy never validates.
+    #[inline]
+    fn publish(slot: &Slot, ticket: u64, ev: &DecisionEvent) {
         for (w, v) in slot.words.iter().zip(ev.encode()) {
             w.store(v, Ordering::Release);
         }
@@ -338,7 +362,7 @@ impl FlightRecorder {
         let mut out: Vec<DecisionEvent> = Vec::with_capacity(self.slots.len());
         for slot in self.slots.iter() {
             let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 == 0 {
+            if s1 == 0 || s1 == BUSY {
                 continue;
             }
             let mut w = [0u64; WORDS];
@@ -359,7 +383,8 @@ impl FlightRecorder {
 
     /// As [`snapshot`](FlightRecorder::snapshot), but consumes: each
     /// returned event's slot is atomically cleared (a slot that a writer
-    /// overwrote in the meantime is left alone, so no new event is lost).
+    /// claimed or overwrote in the meantime is left alone, so no new event
+    /// is lost and no writer loses its claim).
     pub fn drain(&self) -> Vec<DecisionEvent> {
         let events = self.snapshot();
         for ev in &events {
@@ -373,9 +398,16 @@ impl FlightRecorder {
     }
 
     /// Drops all retained events (the total-recorded count is preserved).
+    /// A slot a writer holds keeps its claim, and the event it is writing
+    /// survives the clear.
     pub fn clear(&self) {
         for slot in self.slots.iter() {
-            slot.seq.store(0, Ordering::Release);
+            let seq = slot.seq.load(Ordering::Relaxed);
+            if seq != 0 && seq != BUSY {
+                let _ = slot
+                    .seq
+                    .compare_exchange(seq, 0, Ordering::AcqRel, Ordering::Relaxed);
+            }
         }
     }
 
@@ -384,7 +416,7 @@ impl FlightRecorder {
     pub fn len(&self) -> usize {
         self.slots
             .iter()
-            .filter(|s| s.seq.load(Ordering::Relaxed) != 0)
+            .filter(|s| !matches!(s.seq.load(Ordering::Relaxed), 0 | BUSY))
             .count()
     }
 
@@ -525,6 +557,97 @@ mod tests {
             ev("never", 0)
         });
         assert!(!ran.load(Ordering::Relaxed));
+    }
+
+    #[test]
+    fn a_lapping_writer_drops_its_event_instead_of_sharing_a_held_slot() {
+        let r = FlightRecorder::new(2);
+        // Writer 0 claims slot 0 and stalls mid-write.
+        let (ticket, held) = r.claim().expect("a fresh slot is free");
+        assert_eq!(ticket, 0);
+        r.record(&ev("other", 1));
+        // The ring laps: ticket 2 maps to the held slot, and its event is
+        // dropped. Neither a clear nor a drain frees the held slot.
+        r.clear();
+        assert!(r.drain().is_empty());
+        r.record(&ev("lapper", 2));
+        assert_eq!(r.total_recorded(), 3);
+        assert!(r.is_empty(), "a held slot counts as no event");
+        assert!(r.snapshot().is_empty());
+        FlightRecorder::publish(held, ticket, &ev("held", 7));
+        let got = r.snapshot();
+        assert_eq!(got.len(), 1);
+        assert_eq!((got[0].seq, got[0].encode()), (0, ev("held", 7).encode()));
+    }
+
+    /// Writers that lap each other on a 4-slot ring, beside a reader that
+    /// snapshots, drains and clears: no surfaced event mixes the words of
+    /// two writes.
+    #[test]
+    #[ignore = "release-mode stress soak (CI: --ignored stress)"]
+    fn stress_lapping_writers_never_surface_a_torn_event() {
+        const WRITERS: u64 = 4;
+        const EVENTS: u64 = 2_000_000;
+        let r = Arc::new(FlightRecorder::new(4));
+        let done = Arc::new(StdAtomicBool::new(false));
+        // Every payload word of writer `t`'s event `i` derives from one
+        // stamp, so a mix of two writes cannot decode consistently.
+        let whole = |e: &DecisionEvent| {
+            let stamp = e.binding_hash;
+            e.tick == stamp
+                && e.predicted_cpu_s == stamp as f64
+                && e.predicted_accel_s == (stamp / 2) as f64
+                && e.simulated_s == (stamp % 1_000) as f64
+                && e.region_str() == format!("w{}", stamp >> 32)
+        };
+        let reader = {
+            let (r, done) = (Arc::clone(&r), Arc::clone(&done));
+            thread::spawn(move || {
+                let (mut seen, mut round) = (0u64, 0u64);
+                while !done.load(Ordering::Relaxed) {
+                    round += 1;
+                    let events = if round % 3 == 0 {
+                        r.drain()
+                    } else {
+                        r.snapshot()
+                    };
+                    for e in &events {
+                        assert!(whole(e), "torn event surfaced: {e:?}");
+                    }
+                    seen += events.len() as u64;
+                    if round % 7 == 0 {
+                        r.clear();
+                    }
+                    assert!(r.len() <= r.capacity());
+                }
+                seen
+            })
+        };
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|t| {
+                let r = Arc::clone(&r);
+                thread::spawn(move || {
+                    let region = format!("w{t}");
+                    for i in 0..EVENTS {
+                        let stamp = t << 32 | i;
+                        let mut e = DecisionEvent::new(EventKind::Decide, &region);
+                        e.tick = stamp;
+                        e.binding_hash = stamp;
+                        e.predicted_cpu_s = stamp as f64;
+                        e.predicted_accel_s = (stamp / 2) as f64;
+                        e.simulated_s = (stamp % 1_000) as f64;
+                        r.record(&e);
+                    }
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+        done.store(true, Ordering::Relaxed);
+        assert!(reader.join().unwrap() > 0);
+        assert_eq!(r.total_recorded(), WRITERS * EVENTS);
+        assert!(r.snapshot().iter().all(whole));
     }
 
     #[test]

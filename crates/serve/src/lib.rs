@@ -26,9 +26,8 @@
 //!    ([`ServeReply::write_ok_json`]). Only `dispatch` requests meet
 //!    a bounded queue between transports and the executor. Under
 //!    overload, [`ServerHandle::submit`] sheds a dispatch with a typed
-//!    [`ShedReason`] instead of queueing unboundedly, and
-//!    [`ServerHandle::submit_wait`] backpressures instead of shedding —
-//!    the caller picks the failure mode. Every shed reply still carries
+//!    [`ShedReason`] instead of queueing unboundedly or blocking its
+//!    caller. Every shed reply still carries
 //!    the degraded compiler-default decision, so a refused caller always
 //!    has something runnable: the serve-layer analogue of the
 //!    dispatcher's "the host is never fully load-shed" rule.
@@ -99,7 +98,7 @@ pub use warmup::{warm_engine, WarmupReport, WarmupSource};
 /// Shared helpers for in-crate unit tests.
 #[cfg(test)]
 pub(crate) mod tests_support {
-    use hetsel_core::{Decision, Device, DeviceId, Policy};
+    use hetsel_core::{Decision, DeviceId, Policy};
     use std::sync::Arc;
 
     /// A hand-built compiler-default decision for tests that need *a*
@@ -107,7 +106,6 @@ pub(crate) mod tests_support {
     pub fn degraded_decision() -> Decision {
         Decision {
             region: Arc::from("gemm"),
-            device: Device::Host,
             device_id: DeviceId::HOST,
             device_name: Arc::from("host"),
             policy: Policy::AlwaysOffload,

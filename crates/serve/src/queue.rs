@@ -11,14 +11,14 @@
 //! the vendored `parking_lot` (which exposes no condvar): the consumer
 //! must *sleep* while the queue is empty, and a condvar is the only
 //! primitive in the tree that can wake it without spinning. A notify is
-//! a futex syscall whether or not anyone waits, so sleepers say so under
-//! the lock first: a push notifies `arrived` only while the consumer
-//! sleeps, and a batch notifies `vacated` only while a
-//! [`AdmissionQueue::push_wait`] caller sleeps. Every lock acquisition
-//! recovers from poisoning with `PoisonError::into_inner` — a panicking
-//! producer must not wedge the executor (the same discipline `hetsel-obs`
-//! applies to its registries; the queue's state is a `VecDeque`, two
-//! flags and a count, each valid after any partial mutation).
+//! a futex syscall whether or not anyone waits, so the consumer says it
+//! sleeps under the lock first, and a push notifies `arrived` only then.
+//! Producers never wait: a full queue refuses the request, which the
+//! caller sheds. Every lock acquisition recovers from poisoning with
+//! `PoisonError::into_inner` — a panicking producer must not wedge the
+//! executor (the same discipline `hetsel-obs` applies to its registries;
+//! the queue's state is a `VecDeque` and two flags, each valid after any
+//! partial mutation).
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -39,8 +39,6 @@ struct QueueState<T> {
     closed: bool,
     /// The consumer is asleep on `arrived`.
     consumer_sleeping: bool,
-    /// `push_wait` callers asleep on `vacated`.
-    producers_sleeping: usize,
 }
 
 /// A bounded MPSC queue whose one consumer drains whatever is queued.
@@ -48,8 +46,6 @@ pub struct AdmissionQueue<T> {
     state: Mutex<QueueState<T>>,
     /// Signals the consumer: items arrived or the queue closed.
     arrived: Condvar,
-    /// Signals blocked `push_wait` producers: space freed or closed.
-    vacated: Condvar,
     capacity: usize,
 }
 
@@ -61,10 +57,8 @@ impl<T> AdmissionQueue<T> {
                 items: VecDeque::with_capacity(capacity.max(1)),
                 closed: false,
                 consumer_sleeping: false,
-                producers_sleeping: 0,
             }),
             arrived: Condvar::new(),
-            vacated: Condvar::new(),
             capacity: capacity.max(1),
         }
     }
@@ -110,31 +104,6 @@ impl<T> AdmissionQueue<T> {
         (admitted, verdict)
     }
 
-    /// Blocking admission: backpressure callers (the load bench, a
-    /// cooperating client) wait for space instead of being shed. Returns
-    /// [`Admission::Closed`] if the queue closes while waiting.
-    pub fn push_wait(&self, item: T) -> Admission {
-        let mut state = self.lock();
-        while !state.closed && state.items.len() >= self.capacity {
-            state.producers_sleeping += 1;
-            state = self
-                .vacated
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-            state.producers_sleeping -= 1;
-        }
-        if state.closed {
-            return Admission::Closed;
-        }
-        state.items.push_back(item);
-        let wake = state.consumer_sleeping;
-        drop(state);
-        if wake {
-            self.arrived.notify_one();
-        }
-        Admission::Admitted
-    }
-
     /// Consumer side: blocks until at least one request is queued, then
     /// takes everything queued right now (up to `max_batch`) without
     /// waiting for more. Batches still form: from requests that queued
@@ -155,14 +124,7 @@ impl<T> AdmissionQueue<T> {
             state.consumer_sleeping = false;
         }
         let take = state.items.len().min(max_batch.max(1));
-        let batch: Vec<T> = state.items.drain(..take).collect();
-        let wake = state.producers_sleeping > 0;
-        drop(state);
-        if wake {
-            // Space freed: wake every blocked producer (each re-checks).
-            self.vacated.notify_all();
-        }
-        Some(batch)
+        Some(state.items.drain(..take).collect())
     }
 
     /// Closes the queue: producers are refused from now on, the consumer
@@ -175,7 +137,6 @@ impl<T> AdmissionQueue<T> {
         let orphans: Vec<T> = state.items.drain(..).collect();
         drop(state);
         self.arrived.notify_all();
-        self.vacated.notify_all();
         orphans
     }
 
@@ -280,26 +241,10 @@ mod tests {
         assert_eq!(all, vec![1, 2]);
     }
 
-    #[test]
-    fn push_wait_applies_backpressure() {
-        let q = Arc::new(AdmissionQueue::new(1));
-        assert_eq!(q.push_wait(1), Admission::Admitted);
-        let producer = {
-            let q = Arc::clone(&q);
-            thread::spawn(move || q.push_wait(2))
-        };
-        thread::sleep(Duration::from_millis(20));
-        // Producer is blocked; draining frees space and admits it.
-        assert_eq!(q.next_batch(1).unwrap(), vec![1]);
-        assert_eq!(producer.join().unwrap(), Admission::Admitted);
-        assert_eq!(q.next_batch(1).unwrap(), vec![2]);
-    }
-
-    /// Capacity 2 against four `push_wait` producers, one `try_push_all`
-    /// producer and the draining consumer: the consumer and the blocking
-    /// producers sleep again and again, and each must be woken when its
-    /// condition turns. Every item arrives exactly once. A lost wake
-    /// stalls the run, which the bounded wait turns into a failure
+    /// Capacity 2 against five `try_push_all` producers and the draining
+    /// consumer: the consumer sleeps again and again, and must be woken
+    /// whenever an item arrives. Every item arrives exactly once. A lost
+    /// wake stalls the run, which the bounded wait turns into a failure
     /// instead of a hang.
     #[test]
     fn sleepers_are_always_woken() {
@@ -318,31 +263,22 @@ mod tests {
                 seen
             })
         };
-        let mut producers: Vec<_> = (0..PRODUCERS - 1)
+        let producers: Vec<_> = (0..PRODUCERS)
             .map(|p| {
                 let q = Arc::clone(&q);
                 thread::spawn(move || {
-                    for item in p * PER_PRODUCER..(p + 1) * PER_PRODUCER {
-                        assert_eq!(q.push_wait(item), Admission::Admitted);
+                    let (mut next, end) = (p * PER_PRODUCER, (p + 1) * PER_PRODUCER);
+                    while next < end {
+                        let burst = next..(next + 3).min(end);
+                        let (admitted, _) = q.try_push_all(burst);
+                        next += admitted as u64;
+                        if admitted == 0 {
+                            thread::yield_now();
+                        }
                     }
                 })
             })
             .collect();
-        producers.push({
-            let q = Arc::clone(&q);
-            thread::spawn(move || {
-                let mut next = (PRODUCERS - 1) * PER_PRODUCER;
-                let end = PRODUCERS * PER_PRODUCER;
-                while next < end {
-                    let burst = next..(next + 3).min(end);
-                    let (admitted, _) = q.try_push_all(burst);
-                    next += admitted as u64;
-                    if admitted == 0 {
-                        thread::yield_now();
-                    }
-                }
-            })
-        });
         finished
             .recv_timeout(Duration::from_secs(60))
             .expect("lost wake: the items stopped arriving");

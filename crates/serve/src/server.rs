@@ -41,18 +41,13 @@
 //! through [`Dispatcher::dispatch`], which decides the request and
 //! executes it on the chosen device.
 //!
-//! Admission control has two modes for dispatches, mirroring the
-//! dispatcher's breaker/fallback vocabulary one layer up:
-//!
-//! * [`ServerHandle::submit`] and [`ServerHandle::submit_all`]
-//!   **load-shed**: a full queue turns into an immediate
-//!   [`ShedReason::QueueFull`] reply carrying the degraded
-//!   compiler-default decision.
-//! * [`ServerHandle::submit_wait`] **backpressures**: the caller blocks
-//!   until the queue has room (or the server shuts down).
-//!
-//! Either way every admitted or refused request gets exactly one reply —
-//! the serve-layer analogue of the dispatcher's "the host is never fully
+//! Admission control **load-sheds** dispatches, mirroring the
+//! dispatcher's breaker/fallback vocabulary one layer up: in
+//! [`ServerHandle::submit`] and [`ServerHandle::submit_all`] a full queue
+//! turns into an immediate [`ShedReason::QueueFull`] reply carrying the
+//! degraded compiler-default decision; no caller ever blocks for queue
+//! space. Every admitted or refused request gets exactly one reply — the
+//! serve-layer analogue of the dispatcher's "the host is never fully
 //! load-shed" rule: admission may refuse to spend execution budget, but
 //! it always answers, and a shed reply's degraded decision is always
 //! runnable.
@@ -73,8 +68,8 @@ use crate::timer::DeadlineTimer;
 /// Server tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Queued dispatches admitted before `submit` starts shedding
-    /// (`submit_wait` blocks instead).
+    /// Queued dispatches admitted before `submit` starts shedding them
+    /// with [`ShedReason::QueueFull`].
     pub queue_capacity: usize,
     /// Most queued dispatches the executor takes at once.
     pub max_batch: usize,
@@ -304,20 +299,6 @@ impl ServerHandle {
         self.submit_all(std::iter::once(serve))
             .pop()
             .expect("one pending request per submitted request")
-    }
-
-    /// As [`ServerHandle::submit`], but a dispatch blocks for queue space
-    /// instead of shedding (backpressure). Still sheds with
-    /// [`ShedReason::ShuttingDown`] if the server stops while waiting.
-    pub fn submit_wait(&self, serve: ServeRequest) -> Arc<PendingRequest> {
-        let inner = &self.inner;
-        let (pending, queue) = self.admit_owned(serve);
-        if queue {
-            let admission = inner.queue.push_wait(Arc::clone(&pending));
-            inner.settle(&pending, admission);
-            inner.publish_depth();
-        }
-        pending
     }
 
     /// As [`ServerHandle::submit`] for a whole burst. Its dispatches are

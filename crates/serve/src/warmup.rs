@@ -126,7 +126,7 @@ mod tests {
         let binding = Binding::new().with("n", 4000);
         let a = cold_engine.decide("atax.k1", &binding).unwrap();
         let b = snap_engine.decide("atax.k1", &binding).unwrap();
-        assert_eq!(a.device, b.device);
+        assert_eq!(a.device_id, b.device_id);
         assert_eq!(
             a.predicted_cpu_s.unwrap().to_bits(),
             b.predicted_cpu_s.unwrap().to_bits()

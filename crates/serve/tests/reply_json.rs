@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use hetsel_core::wire::DecisionFields;
-use hetsel_core::{BindingClass, CalibrationTag, Decision, Device, DeviceId, Policy};
+use hetsel_core::{BindingClass, CalibrationTag, Decision, DeviceId, Policy};
 use hetsel_serve::{ReplyDecision, ReplyDispatch, ServeReply, ShedReason};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -130,7 +130,6 @@ fn engine_decision() -> BoxedStrategy<Decision> {
         .prop_map(
             |((region, device_name), (gpu, policy), (cpu_s, gpu_s), calibration)| Decision {
                 region: Arc::from(region),
-                device: if gpu { Device::Gpu } else { Device::Host },
                 device_id: DeviceId(u16::from(gpu)),
                 device_name: Arc::from(device_name),
                 policy: [

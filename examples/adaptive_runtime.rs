@@ -22,7 +22,7 @@ fn main() {
         let (decision, cost) = adaptive.run_and_learn(&kernel, &b).unwrap();
         println!(
             "launch {launch}: chose {:<5} cost {:.2} ms   (calibrator holds {} cells)",
-            format!("{}", decision.device),
+            format!("{}", decision.device_id.kind()),
             cost * 1e3,
             adaptive.selector.calibrator().len()
         );

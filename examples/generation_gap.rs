@@ -35,7 +35,7 @@ fn main() {
                 m.gpu_s * 1e3,
                 m.speedup().unwrap_or(f64::NAN),
                 m.best_device(),
-                if d.device == m.best_device() {
+                if d.device_id.kind() == m.best_device() {
                     "model agrees"
                 } else {
                     "model disagrees"

@@ -41,7 +41,7 @@ fn main() {
             let device = match policy {
                 Policy::AlwaysHost => Device::Host,
                 Policy::AlwaysOffload => Device::Gpu,
-                _ => e.decision.device,
+                _ => e.decision.device_id.kind(),
             };
             speedups.push(e.measured.cpu_s / e.measured.on(device));
             if device == e.measured.best_device() {
@@ -67,7 +67,7 @@ fn main() {
         println!(
             "  {:<14} -> {:<5} (true speedup {:>6.2}x) {}",
             e.decision.region,
-            format!("{}", e.decision.device),
+            format!("{}", e.decision.device_id.kind()),
             e.measured.speedup().unwrap_or(f64::NAN),
             if e.correct() { "" } else { "  <- mispredicted" }
         );

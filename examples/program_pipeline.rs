@@ -24,7 +24,7 @@ fn main() {
             print!("  {ds:<9} per-region:");
             for k in &program.kernels {
                 let d = sel.decide(k, &binding);
-                print!(" {}={}", k.name, d.device);
+                print!(" {}={}", k.name, d.device_id.kind());
             }
             println!();
 

@@ -58,7 +58,7 @@ fn main() {
             d.predicted_cpu_s.unwrap() * 1e6,
             d.predicted_gpu_s.unwrap() * 1e6,
             d.predicted_speedup().unwrap(),
-            d.device
+            d.device_id.kind()
         );
     }
     // Re-reaching a region with known extents is a cache hit.

@@ -48,7 +48,7 @@
 //! let decision = engine.decide("axpy", &binding).unwrap();
 //! println!(
 //!     "run axpy on {}: predicted offload speedup {:.2}x",
-//!     decision.device,
+//!     decision.device_name,
 //!     decision.predicted_speedup().unwrap()
 //! );
 //!
@@ -77,7 +77,7 @@ pub use hetsel_polybench as polybench;
 pub mod prelude {
     pub use hetsel_core::{
         AttributeDatabase, BreakerState, CalibrationMode, Calibrator, Decision, DecisionEngine,
-        DecisionRequest, Device, DeviceId, DeviceKind, DispatchError, DispatchOutcome, Dispatcher,
+        DecisionRequest, Device, DeviceId, DispatchError, DispatchOutcome, Dispatcher,
         DispatcherConfig, Explanation, FallbackReason, Fleet, Platform, Policy, Selector,
     };
     pub use hetsel_fault::{FaultKind, FaultPlan};

@@ -105,7 +105,7 @@ fn the_request_api_surface_is_stable() {
     pin!(fn(&Fleet, &str) -> Option<Fleet>, Fleet::restrict);
     pin!(fn(&Fleet, &str) -> Option<DeviceId>, Fleet::device_id_of);
     pin!(fn(&Fleet, DeviceId) -> Option<&str>, Fleet::label);
-    pin!(fn(&Fleet, DeviceId) -> Option<DeviceKind>, Fleet::kind);
+    pin!(fn(DeviceId) -> Device, DeviceId::kind);
     pin!(fn(&Fleet) -> &[AcceleratorDevice], Fleet::accelerators);
     pin!(fn(Selector, Fleet) -> Selector, Selector::with_fleet);
     pin!(fn(&Selector) -> &Fleet, Selector::fleet);
@@ -164,18 +164,6 @@ fn the_request_api_surface_is_stable() {
     );
     pin!(fn(&Dispatcher) -> &DecisionEngine, Dispatcher::engine);
     pin!(
-        fn(&Dispatcher, Device) -> BreakerState,
-        Dispatcher::breaker_state
-    );
-    pin!(
-        fn(&Dispatcher, Device) -> DeviceHealthSnapshot,
-        Dispatcher::health
-    );
-    pin!(
-        fn(&Dispatcher) -> (DeviceHealthSnapshot, DeviceHealthSnapshot),
-        Dispatcher::publish_health
-    );
-    pin!(
         fn(&Dispatcher, DeviceId) -> Option<BreakerState>,
         Dispatcher::breaker_state_by_id
     );
@@ -230,18 +218,17 @@ fn the_public_enums_carry_their_promised_variants() {
         CalibrationMode::Active,
     ];
     let _ = [FaultKind::Transient, FaultKind::Permanent];
-    let _ = [DeviceKind::Host, DeviceKind::Accelerator];
     let _ = [DeviceId::HOST, DeviceId(1)];
     let _ = [
         FallbackReason::DeadlineExceeded,
         FallbackReason::BreakerOpen {
-            device: Device::Gpu,
+            device: DeviceId(1),
         },
         FallbackReason::CapacityExhausted {
-            device: Device::Gpu,
+            device: DeviceId(1),
         },
         FallbackReason::DeviceFault {
-            device: Device::Gpu,
+            device: DeviceId(1),
             kind: FaultKind::Transient,
         },
     ];
@@ -266,11 +253,11 @@ fn the_prelude_name_list_is_the_documented_snapshot() {
     const PRELUDE: &[&str] = &[
         "AttributeDatabase", "Binding", "BreakerState", "CalibrationMode", "Calibrator",
         "CompiledModel", "CostModel", "Decision", "DecisionEngine", "DecisionRequest",
-        "Device", "DeviceId", "DeviceKind", "DispatchError", "DispatchOutcome",
-        "Dispatcher", "DispatcherConfig", "Explanation", "Expr", "FallbackReason",
-        "FaultKind", "FaultPlan", "Fleet", "Kernel", "KernelBuilder",
-        "ModelError", "Platform", "Policy", "Prediction", "Selector",
-        "Transfer", "cexpr",
+        "Device", "DeviceId", "DispatchError", "DispatchOutcome", "Dispatcher",
+        "DispatcherConfig", "Explanation", "Expr", "FallbackReason", "FaultKind",
+        "FaultPlan", "Fleet", "Kernel", "KernelBuilder", "ModelError",
+        "Platform", "Policy", "Prediction", "Selector", "Transfer",
+        "cexpr",
     ];
     let mut sorted = PRELUDE.to_vec();
     sorted.sort_unstable();
@@ -293,7 +280,6 @@ fn the_prelude_name_list_is_the_documented_snapshot() {
         std::any::type_name::<p::DecisionRequest>(),
         std::any::type_name::<p::Device>(),
         std::any::type_name::<p::DeviceId>(),
-        std::any::type_name::<p::DeviceKind>(),
         std::any::type_name::<p::DispatchError>(),
         std::any::type_name::<p::DispatchOutcome>(),
         std::any::type_name::<p::Dispatcher>(),

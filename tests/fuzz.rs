@@ -53,7 +53,7 @@ fn whole_stack_survives_synthetic_kernels() {
         } else {
             hetsel::core::Device::Host
         };
-        assert_eq!(d.device, expect, "seed {seed}");
+        assert_eq!(d.device_id.kind(), expect, "seed {seed}");
     }
 }
 

@@ -19,7 +19,7 @@ fn scatter(ds: Dataset, threads: u32) -> (f64, usize, usize) {
         let predicted = d.predicted_cpu_s.unwrap() / d.predicted_gpu_s.unwrap();
         let actual = m.speedup().unwrap();
         log_err += (predicted / actual).ln().abs();
-        if d.device == m.best_device() {
+        if d.device_id.kind() == m.best_device() {
             correct += 1;
         }
         total += 1;

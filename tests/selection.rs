@@ -75,14 +75,16 @@ fn policies_behave_as_labelled() {
         Selector::new(p.clone())
             .with_policy(Policy::AlwaysHost)
             .decide(&kernel, &b)
-            .device,
+            .device_id
+            .kind(),
         Device::Host
     );
     assert_eq!(
         Selector::new(p.clone())
             .with_policy(Policy::AlwaysOffload)
             .decide(&kernel, &b)
-            .device,
+            .device_id
+            .kind(),
         Device::Gpu
     );
 }
@@ -92,7 +94,7 @@ fn unresolved_bindings_fall_back_to_compiler_default() {
     let (_, kernel, _) = all_kernels().remove(0);
     let sel = Selector::new(Platform::power9_v100());
     let d = sel.decide(&kernel, &Binding::new());
-    assert_eq!(d.device, Device::Gpu);
+    assert_eq!(d.device_id.kind(), Device::Gpu);
     assert!(d.predicted_cpu_s.is_none());
 }
 
@@ -130,6 +132,6 @@ fn decision_is_consistent_with_own_predictions() {
         let d = sel.decide(&kernel, &b);
         let (c, g) = (d.predicted_cpu_s.unwrap(), d.predicted_gpu_s.unwrap());
         let expect = if g < c { Device::Gpu } else { Device::Host };
-        assert_eq!(d.device, expect, "{}", kernel.name);
+        assert_eq!(d.device_id.kind(), expect, "{}", kernel.name);
     }
 }

@@ -738,10 +738,8 @@ impl Selector {
             DeviceChoice::Host => (DeviceId::HOST, self.fleet.host_label_arc().clone()),
             DeviceChoice::Accelerator(pos) => self.accel_identity(accels[pos].0),
         };
-        if let Some((_, corrected)) = corrected.filter(|_| active) {
-            for (accel, p) in accels.iter_mut().zip(corrected) {
-                accel.1 = p;
-            }
+        for (accel, p) in accels.iter_mut().zip(eff_accels) {
+            accel.1 = *p;
         }
         Composed {
             decision: Decision {

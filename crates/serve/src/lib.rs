@@ -27,10 +27,10 @@
 //!    a bounded queue between transports and the executor. Under
 //!    overload, [`ServerHandle::submit`] sheds a dispatch with a typed
 //!    [`ShedReason`] instead of queueing unboundedly or blocking its
-//!    caller. Every shed reply still carries
-//!    the degraded compiler-default decision, so a refused caller always
-//!    has something runnable: the serve-layer analogue of the
-//!    dispatcher's "the host is never fully load-shed" rule.
+//!    caller. Every shed reply still carries the degraded
+//!    compiler-default decision, so a refused caller always has
+//!    something runnable: the serve-layer analogue of the dispatcher's
+//!    "the host is never fully load-shed" rule.
 //! 2. **One dispatch executor, fed in bursts.** The executor thread takes
 //!    whatever dispatches are queued the moment it wakes and runs each
 //!    through the dispatcher. Transports work in bursts: every complete
